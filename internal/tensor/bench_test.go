@@ -67,3 +67,54 @@ func BenchmarkMatMulBT(b *testing.B) {
 		})
 	}
 }
+
+// trainShapes are the products one HydraGNN training step multiplies at
+// perfbench's train configuration, with rows = the ~1450 nodes of a
+// 32-graph batch: the PNA update network's 208-wide input (hidden 16 ×
+// (1 + 4 aggregators × 3 scalers)), the 16-wide hidden layers, the 3-wide
+// node-feature embedding, and the graph-level output head. Each is r×k ·
+// k×c in MatMulInto terms; the backward pass multiplies the matching
+// transposed forms.
+var trainShapes = []struct {
+	name    string
+	r, k, c int
+}{
+	{"update", 1450, 208, 16},
+	{"hidden", 1450, 16, 16},
+	{"embed", 1450, 3, 16},
+	{"head", 32, 16, 1},
+}
+
+// BenchmarkMatMulTrain measures all three kernels at the training shapes:
+// Into is the forward product, AT the weight gradient aᵀ·dOut and BT the
+// input gradient dOut·wᵀ.
+func BenchmarkMatMulTrain(b *testing.B) {
+	for _, s := range trainShapes {
+		rng := vtime.NewRNG(uint64(s.r*s.k + s.c))
+		x := randMat(rng, s.r, s.k)
+		w := randMat(rng, s.k, s.c)
+		dOut := randMat(rng, s.r, s.c)
+		out := New(s.r, s.c)
+		kernels := []struct {
+			name string
+			run  func()
+		}{
+			{"Into", func() { MatMulInto(out, x, w) }},
+			{"AT", func() { MatMulAT(x, dOut) }},
+			{"BT", func() { MatMulBT(dOut, w) }},
+		}
+		for _, kr := range kernels {
+			for _, par := range []int{1, 4} {
+				b.Run(fmt.Sprintf("%s/%s_%dx%dx%d/par%d", kr.name, s.name, s.r, s.k, s.c, par), func(b *testing.B) {
+					SetParallelism(par)
+					defer SetParallelism(0)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						kr.run()
+					}
+				})
+			}
+		}
+	}
+}

@@ -75,32 +75,62 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
+// The three matmul kernels below are register-blocked: a pass keeps a
+// strip of output cells in local accumulators across the whole k loop and
+// stores each cell once. Blocking only regroups independent cells. Every
+// cell keeps the float32 operation sequence of the plain triple loop:
+// start from +0, k ascending, the same zero-skips, and each product
+// rounded before it is added (the explicit float32 conversions forbid
+// fusing the pair into an FMA). Results are therefore bit-identical to the
+// scalar loops and, with ParallelFor's output-row partition, for every
+// worker count. Rows are sliced once per row or per k step, so the strip
+// loops index with constants and carry no per-element bounds checks.
+
 // MatMulInto computes out = a · b into a preallocated out (overwritten).
 func MatMulInto(out, a, b *Matrix) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul into %dx%d = %dx%d · %dx%d",
 			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	// ikj order: stream through b rows for cache friendliness. Parallel
-	// over output rows: each row is zeroed and accumulated by exactly one
-	// worker in the serial k order, so results are bit-identical for any
-	// worker count.
-	ParallelFor(a.Rows, 2*a.Cols*b.Cols, func(lo, hi int) {
+	// Parallel over output rows; per row, 8-column strips accumulate over
+	// the k-th row of b in ascending k, skipping zero a[i][k].
+	n, c := a.Cols, b.Cols
+	ad, bd, od := a.Data, b.Data, out.Data
+	ParallelFor(a.Rows, 2*n*c, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := range orow {
-				orow[j] = 0
+			arow := ad[i*n : i*n+n]
+			orow := od[i*c : i*c+c]
+			j := 0
+			for ; j+8 <= c; j += 8 {
+				var s0, s1, s2, s3, s4, s5, s6, s7 float32
+				off := j
+				for _, aik := range arow {
+					if aik != 0 {
+						bk := bd[off : off+8 : off+8]
+						s0 += float32(aik * bk[0])
+						s1 += float32(aik * bk[1])
+						s2 += float32(aik * bk[2])
+						s3 += float32(aik * bk[3])
+						s4 += float32(aik * bk[4])
+						s5 += float32(aik * bk[5])
+						s6 += float32(aik * bk[6])
+						s7 += float32(aik * bk[7])
+					}
+					off += c
+				}
+				o := orow[j : j+8 : j+8]
+				o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
 			}
-			for k := 0; k < a.Cols; k++ {
-				aik := arow[k]
-				if aik == 0 {
-					continue
+			for ; j < c; j++ {
+				var s float32
+				off := j
+				for _, aik := range arow {
+					if aik != 0 {
+						s += float32(aik * bd[off])
+					}
+					off += c
 				}
-				brow := b.Row(k)
-				for j := range brow {
-					orow[j] += aik * brow[j]
-				}
+				orow[j] = s
 			}
 		}
 	})
@@ -112,22 +142,45 @@ func MatMulAT(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: matmulAT %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Cols, b.Cols)
-	// Parallel over output rows (a's columns): every worker streams the k
-	// rows in order but only touches its own out-row range, preserving the
-	// serial per-cell accumulation order exactly.
-	ParallelFor(a.Cols, 2*a.Rows*b.Cols, func(lo, hi int) {
-		for k := 0; k < a.Rows; k++ {
-			arow := a.Row(k)
-			brow := b.Row(k)
-			for i := lo; i < hi; i++ {
-				aki := arow[i]
-				if aki == 0 {
-					continue
+	// Parallel over output rows (a's columns); per out row i, 8-column
+	// strips accumulate over the rows of b in ascending k, skipping zero
+	// a[k][i] — the column of a is read with stride r.
+	n, r, c := a.Rows, a.Cols, b.Cols
+	ad, bd, od := a.Data, b.Data, out.Data
+	ParallelFor(r, 2*n*c, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			orow := od[i*c : i*c+c]
+			j := 0
+			for ; j+8 <= c; j += 8 {
+				var s0, s1, s2, s3, s4, s5, s6, s7 float32
+				off := j
+				for k := i; k < len(ad); k += r {
+					if aki := ad[k]; aki != 0 {
+						bk := bd[off : off+8 : off+8]
+						s0 += float32(aki * bk[0])
+						s1 += float32(aki * bk[1])
+						s2 += float32(aki * bk[2])
+						s3 += float32(aki * bk[3])
+						s4 += float32(aki * bk[4])
+						s5 += float32(aki * bk[5])
+						s6 += float32(aki * bk[6])
+						s7 += float32(aki * bk[7])
+					}
+					off += c
 				}
-				orow := out.Row(i)
-				for j := range brow {
-					orow[j] += aki * brow[j]
+				o := orow[j : j+8 : j+8]
+				o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+			}
+			for ; j < c; j++ {
+				var s float32
+				off := j
+				for k := i; k < len(ad); k += r {
+					if aki := ad[k]; aki != 0 {
+						s += float32(aki * bd[off])
+					}
+					off += c
 				}
+				orow[j] = s
 			}
 		}
 	})
@@ -140,19 +193,38 @@ func MatMulBT(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: matmulBT %dx%d · %dx%d ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Rows)
-	// Parallel over rows of a; each out row is an independent set of dot
-	// products, so partitioning cannot change any accumulation order.
-	ParallelFor(a.Rows, 2*a.Cols*b.Rows, func(lo, hi int) {
+	// Parallel over rows of a; each out cell is one serial dot product over
+	// k, and four of them (columns j..j+3) run as independent chains so the
+	// adds overlap instead of waiting on one another.
+	n, c := a.Cols, b.Rows
+	ad, bd, od := a.Data, b.Data, out.Data
+	ParallelFor(a.Rows, 2*n*c, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				brow := b.Row(j)
-				var sum float32
-				for k := range arow {
-					sum += arow[k] * brow[k]
+			arow := ad[i*n : i*n+n]
+			orow := od[i*c : i*c+c]
+			j := 0
+			for ; j+4 <= c; j += 4 {
+				b0 := bd[j*n : j*n+n][:len(arow)]
+				b1 := bd[(j+1)*n : (j+1)*n+n][:len(arow)]
+				b2 := bd[(j+2)*n : (j+2)*n+n][:len(arow)]
+				b3 := bd[(j+3)*n : (j+3)*n+n][:len(arow)]
+				var s0, s1, s2, s3 float32
+				for k, x := range arow {
+					s0 += float32(x * b0[k])
+					s1 += float32(x * b1[k])
+					s2 += float32(x * b2[k])
+					s3 += float32(x * b3[k])
 				}
-				orow[j] = sum
+				o := orow[j : j+4 : j+4]
+				o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+			}
+			for ; j < c; j++ {
+				bj := bd[j*n : j*n+n][:len(arow)]
+				var s float32
+				for k, x := range arow {
+					s += float32(x * bj[k])
+				}
+				orow[j] = s
 			}
 		}
 	})

@@ -118,8 +118,9 @@ func Dial(addr string) (*Client, error) {
 }
 
 // DialOptions connects to a server with explicit resilience options. The
-// initial connection is established eagerly so configuration errors
-// surface immediately; later reconnects are transparent.
+// initial connection is established eagerly, retried under the policy like
+// any reconnect, so an unreachable server surfaces as an error here; later
+// reconnects are transparent.
 func DialOptions(addr string, opts ClientOptions) (*Client, error) {
 	if len(opts.Tenant) > maxTenantName {
 		return nil, fmt.Errorf("transport: tenant name %q exceeds %d bytes", opts.Tenant, maxTenantName)
@@ -150,12 +151,23 @@ func DialOptions(addr string, opts ClientOptions) (*Client, error) {
 		}
 	}
 	c.rng = rand.New(rand.NewSource(c.policy.Seed))
-	conn, err := c.dialer(addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: %w", err)
+	// The eager first dial runs under the same bounded attempts and
+	// backoff as every later reconnect: a reset on the very first
+	// connection is the same transient fault as one on the tenth.
+	var err error
+	for attempt := 0; attempt < c.policy.MaxAttempts; attempt++ {
+		if attempt > 0 {
+			c.counters.Inc(CounterRetries, 1)
+			time.Sleep(c.policy.delay(attempt, c.rng))
+		}
+		var conn net.Conn
+		if conn, err = c.dialer(addr); err == nil {
+			c.conn = conn
+			return c, nil
+		}
 	}
-	c.conn = conn
-	return c, nil
+	c.counters.Inc(CounterGiveUps, 1)
+	return nil, fmt.Errorf("transport: dial %s failed after %d attempts: %w", addr, c.policy.MaxAttempts, err)
 }
 
 // Addr returns the server address this client targets.

@@ -274,3 +274,54 @@ func TestGroupRejectsMismatchedReplicas(t *testing.T) {
 		t.Fatal("mismatched replica spans accepted")
 	}
 }
+
+// TestDialRetriesFirstConnection: the eager first dial in DialOptions runs
+// under the retry policy like every reconnect, so a transient failure on
+// the very first connection (a reset, a refused connect) is retried with
+// backoff instead of failing the client, and an unreachable server gives
+// up after exactly MaxAttempts dials.
+func TestDialRetriesFirstConnection(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 10})
+	srv, err := transport.Serve("127.0.0.1:0", chunkFor(t, ds, 0, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	flaky := func(failures int) (transport.DialFunc, *int) {
+		calls := 0
+		return func(addr string) (net.Conn, error) {
+			calls++
+			if calls <= failures {
+				return nil, errors.New("connect: connection reset by peer")
+			}
+			return net.Dial("tcp", addr)
+		}, &calls
+	}
+
+	dial, calls := flaky(2)
+	prof := trace.New()
+	cl, err := transport.DialOptions(srv.Addr(), transport.ClientOptions{
+		Policy: fastPolicy(4), Dialer: dial, Counters: prof,
+	})
+	if err != nil {
+		t.Fatalf("first dial not retried: %v", err)
+	}
+	defer cl.Close()
+	if *calls != 3 || prof.Counter(transport.CounterRetries) != 2 {
+		t.Fatalf("dials %d, retries %d; want 3 and 2", *calls, prof.Counter(transport.CounterRetries))
+	}
+	if g, err := cl.Get(3); err != nil || g.ID != 3 {
+		t.Fatalf("get after retried dial: %v", err)
+	}
+
+	dial, calls = flaky(1 << 30)
+	prof = trace.New()
+	if _, err := transport.DialOptions(srv.Addr(), transport.ClientOptions{
+		Policy: fastPolicy(3), Dialer: dial, Counters: prof,
+	}); err == nil {
+		t.Fatal("dial to a peer that always resets succeeded")
+	}
+	if *calls != 3 || prof.Counter(transport.CounterGiveUps) != 1 {
+		t.Fatalf("dials %d, give-ups %d; want 3 and 1", *calls, prof.Counter(transport.CounterGiveUps))
+	}
+}

@@ -252,6 +252,13 @@ type ServerOptions struct {
 
 // serverMetrics holds the server's pre-resolved instrument handles so the
 // request loop never touches the registry's lookup path.
+//
+// Invariant: reply visible ⇒ counted. The request loop observes a request
+// (and hands it to the flight recorder) before it writes the response
+// frame, so a client that has read its reply always finds the request in
+// every counter of a later scrape. The cost is that the latency histogram
+// (ddstore_fetch_latency_seconds) and the flight record's duration measure
+// service time up to the start of the frame write, not including it.
 type serverMetrics struct {
 	reqs        [9]*obs.Counter // indexed by op; 0 unused
 	errors      *obs.Counter
@@ -599,8 +606,8 @@ func (s *Server) handle(conn net.Conn, st *connState, gate ConnGate) {
 			// An invalid body count means the length of the request body is
 			// unknown, so the stream cannot be resynchronized: report the
 			// error, then drop the connection.
-			s.writeFrame(conn, nil, err)
 			s.metrics.observe(op, 0, err, time.Since(start))
+			s.writeFrame(conn, nil, err)
 			return
 		}
 		// Ops with a body consume it before admission, so a shed response
@@ -741,13 +748,16 @@ func (s *Server) handle(conn net.Conn, st *connState, gate ConnGate) {
 			parts = append(parts, trailer)
 			total += len(trailer)
 		}
+		// Count and flight-record the request before its reply can reach
+		// the client (see serverMetrics); the measured service time
+		// therefore ends here, before the frame write.
+		dur := time.Since(start)
+		s.metrics.observe(op, total, err, dur)
+		s.recordRequest(op, tenant, tc, samples, total, queueWait, sourceTime, dur, err)
 		werr := s.writeFrame(conn, parts, err)
 		if release != nil {
 			release(int64(total))
 		}
-		dur := time.Since(start)
-		s.metrics.observe(op, total, err, dur)
-		s.recordRequest(op, tenant, tc, samples, total, queueWait, sourceTime, dur, err)
 		st.busy.Store(false)
 		if werr != nil {
 			return
