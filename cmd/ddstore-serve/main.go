@@ -1,10 +1,14 @@
-// Command ddstore-serve exposes a slice of a dataset over the TCP data
-// plane, so DDStore chunks can be fetched between real processes — one
-// server per node, for example. Peers connect with transport.Dial /
-// transport.NewGroup (or any client speaking the simple length-prefixed
-// protocol in internal/transport). The assembly itself lives in
-// internal/serveboot so tests and the load-generator harness can boot the
-// same server in-process on a loopback port.
+// Command ddstore-serve exposes a dataset over the TCP data plane, so
+// DDStore chunks can be fetched between real processes — one server per
+// node, for example. Every server is a cluster of one or more owners
+// routing through a versioned shard map: a plain -lo/-hi server is one
+// owner whose map stays at generation 1, and -elastic N boots N owners
+// that the debug endpoint's /admin/reshard can grow or shrink while
+// clients keep loading. Peers connect with transport.NewGroup /
+// transport.NewElasticGroup (or any client speaking the simple
+// length-prefixed protocol in internal/transport). The assembly itself
+// lives in internal/serveboot so tests and the load-generator harness can
+// boot the same server in-process on a loopback port.
 //
 // Usage:
 //
@@ -15,6 +19,10 @@
 //
 //	# or serve a synthetic dataset directly, no files needed
 //	ddstore-serve -dataset homolumo -n 10000 -lo 0 -hi 5000 -addr 127.0.0.1:7001
+//
+//	# or two owners behind a live shard map, reshardable at runtime
+//	ddstore-serve -elastic 2 -dataset homolumo -n 10000 \
+//	    -elastic-addrs 127.0.0.1:7001,127.0.0.1:7002 -debug-addr 127.0.0.1:7901
 package main
 
 import (
@@ -32,7 +40,7 @@ import (
 
 func main() {
 	var (
-		addr   = flag.String("addr", "127.0.0.1:7001", "listen address")
+		addr   = flag.String("addr", "127.0.0.1:7001", "listen address (without -elastic)")
 		cffDir = flag.String("cff", "", "serve from a CFF directory")
 		pffDir = flag.String("pff", "", "serve from a PFF directory")
 		dsName = flag.String("dataset", "", "serve a synthetic dataset: ising, homolumo, discrete, smooth")
@@ -41,12 +49,12 @@ func main() {
 		lo     = flag.Int64("lo", 0, "first sample id served (inclusive)")
 		hi     = flag.Int64("hi", -1, "last sample id served (exclusive; -1 = dataset end)")
 
-		// Elastic mode: boot a whole owner cluster behind a live shard map
-		// instead of one static-range server. Owners can be added/removed
-		// at runtime via the debug endpoint's /admin/reshard.
-		elasticN     = flag.Int("elastic", 0, "boot an elastic cluster with this many owners routing through a live shard map (0 = single static server)")
-		elasticAddrs = flag.String("elastic-addrs", "", "comma-separated listen addresses for the initial elastic owners (empty = ephemeral loopback ports)")
-		width        = flag.Int("width", 0, "per-shard replica width the elastic planner maintains (0 = 1)")
+		// Owner count: every server routes through a live shard map, and
+		// owners can be added/removed at runtime via the debug endpoint's
+		// /admin/reshard.
+		elasticN     = flag.Int("elastic", 0, "boot this many owners, listening on -elastic-addrs (0 = one owner on -addr)")
+		elasticAddrs = flag.String("elastic-addrs", "", "comma-separated listen addresses for the -elastic owners (empty = ephemeral loopback ports)")
+		width        = flag.Int("width", 0, "per-shard replica width the resharding planner maintains (0 = 1)")
 
 		writeTimeout = flag.Duration("write-timeout", 5*time.Second, "per-response write deadline (0 = none)")
 		idleTimeout  = flag.Duration("idle-timeout", 0, "close connections idle this long (0 = never)")
@@ -94,19 +102,18 @@ func main() {
 		}
 	}
 
+	owners := 1
+	addrs := []string{*addr}
 	if *elasticN > 0 {
-		runElastic(elasticFlags{
-			owners: *elasticN, addrs: *elasticAddrs, width: *width,
-			cffDir: *cffDir, pffDir: *pffDir, dataset: *dsName, n: *n, bins: *bins,
-			writeTimeout: *writeTimeout, idleTimeout: *idleTimeout,
-			debugAddr: *debugAddr, chaos: chaos,
-			flightCap: *flightCap, slowThresh: *slowThresh,
-		})
-		return
+		owners, addrs = *elasticN, nil
+		if *elasticAddrs != "" {
+			for _, a := range strings.Split(*elasticAddrs, ",") {
+				addrs = append(addrs, strings.TrimSpace(a)) // "" = ephemeral port
+			}
+		}
 	}
-
-	cfg := serveboot.Config{
-		Addr:         *addr,
+	c, err := serveboot.Boot(serveboot.Config{
+		Addrs:        addrs,
 		CFFDir:       *cffDir,
 		PFFDir:       *pffDir,
 		Dataset:      *dsName,
@@ -114,6 +121,8 @@ func main() {
 		Bins:         *bins,
 		Lo:           *lo,
 		Hi:           *hi,
+		Owners:       owners,
+		Width:        *width,
 		WriteTimeout: *writeTimeout,
 		IdleTimeout:  *idleTimeout,
 		CacheBytes:   *cacheBytes,
@@ -126,26 +135,28 @@ func main() {
 		FrontendWorkers: *feWorkers,
 		DrainTimeout:    *drainTimeout,
 
+		Chaos:         chaos,
 		FlightRecCap:  *flightCap,
 		SlowThreshold: *slowThresh,
 		FlightRecDir:  *flightDir,
-	}
-	cfg.Chaos = chaos
-
-	inst, err := serveboot.Boot(cfg)
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ddstore-serve: %v\n", err)
 		os.Exit(2)
 	}
-	srvLo, srvHi := inst.Range()
-	fmt.Printf("serving samples [%d,%d) on %s (ctrl-c to stop)\n", srvLo, srvHi, inst.Addr())
-	if dbg := inst.DebugAddr(); dbg != "" {
-		fmt.Printf("debug server on http://%s (/metrics, /healthz, /readyz, /debug/flightrecorder, /debug/pprof/)\n", dbg)
+	srvLo, srvHi := c.Range()
+	fmt.Printf("serving samples [%d,%d) with %d owner(s) at generation %d (ctrl-c to stop)\n",
+		srvLo, srvHi, c.OwnerCount(), c.Generation())
+	for _, id := range c.OwnerIDs() {
+		fmt.Printf("  %s on %s\n", id, c.Owner(id).Addr())
 	}
-	if pol := inst.CachePolicy(); pol != "" {
-		fmt.Printf("lazy mode: %s cache, %d byte budget\n", pol, *cacheBytes)
+	if dbg := c.DebugAddr(); dbg != "" {
+		fmt.Printf("debug server on http://%s (/metrics, /healthz, /readyz, /debug/flightrecorder, /debug/pprof/, /admin/reshard?owners=N)\n", dbg)
 	}
-	if _, ok := inst.FrontendStats(); ok {
+	if pol := c.CachePolicy(); pol != "" {
+		fmt.Printf("lazy mode: %s cache, %d byte budget per owner\n", pol, *cacheBytes)
+	}
+	if _, ok := c.FrontendStats(); ok {
 		fmt.Printf("front end: tenants=%q max-conns=%d queue-depth=%d workers=%d drain-timeout=%s\n",
 			*tenants, *maxConns, *queueDepth, *feWorkers, *drainTimeout)
 	}
@@ -157,84 +168,18 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	inst.Close()
-	if st, ok := inst.FrontendStats(); ok {
+	gen, nOwners := c.Generation(), c.OwnerCount()
+	c.Close()
+	if st, ok := c.FrontendStats(); ok {
 		fmt.Printf("\nfront end: %d lookup + %d bulk admitted, %d shed %v\n",
 			st.AdmittedByClass[0], st.AdmittedByClass[1], st.Shed, st.ShedByReason)
 	}
-	if st, ok := inst.FaultStats(); ok {
+	if st, ok := c.FaultStats(); ok {
 		fmt.Printf("\ninjected faults: %+v\n", st)
 	}
-	if st, ok := inst.CacheStats(); ok {
+	if st, ok := c.CacheStats(); ok {
 		fmt.Printf("\ncache: %.1f%% hit rate, %d hits, %d misses, %d evictions, %d coalesced, %d entries / %d B resident\n",
 			100*st.HitRate(), st.Hits, st.Misses, st.Evictions, st.Coalesced, st.Entries, st.Bytes)
 	}
-	fmt.Println("shut down")
-}
-
-type elasticFlags struct {
-	owners       int
-	addrs        string
-	width        int
-	cffDir       string
-	pffDir       string
-	dataset      string
-	n, bins      int
-	writeTimeout time.Duration
-	idleTimeout  time.Duration
-	debugAddr    string
-	chaos        *faultnet.Scenario
-	flightCap    int
-	slowThresh   time.Duration
-}
-
-// runElastic boots an in-process owner cluster behind a live shard map
-// and serves until interrupted. Membership changes at runtime through the
-// debug endpoint: GET /admin/reshard?owners=N migrates chunks and
-// publishes the next generation while clients keep loading.
-func runElastic(f elasticFlags) {
-	var addrs []string
-	if f.addrs != "" {
-		for _, a := range strings.Split(f.addrs, ",") {
-			addrs = append(addrs, strings.TrimSpace(a))
-		}
-	}
-	c, err := serveboot.BootCluster(serveboot.ElasticConfig{
-		CFFDir:        f.cffDir,
-		PFFDir:        f.pffDir,
-		Dataset:       f.dataset,
-		N:             f.n,
-		Bins:          f.bins,
-		Owners:        f.owners,
-		Addrs:         addrs,
-		Width:         f.width,
-		WriteTimeout:  f.writeTimeout,
-		IdleTimeout:   f.idleTimeout,
-		DebugAddr:     f.debugAddr,
-		Chaos:         f.chaos,
-		FlightRecCap:  f.flightCap,
-		SlowThreshold: f.slowThresh,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ddstore-serve: %v\n", err)
-		os.Exit(2)
-	}
-	fmt.Printf("elastic cluster: %d owners serving %d samples at generation %d (ctrl-c to stop)\n",
-		c.OwnerCount(), c.Len(), c.Generation())
-	for _, id := range c.OwnerIDs() {
-		fmt.Printf("  %s on %s\n", id, c.Owner(id).Addr())
-	}
-	if dbg := c.DebugAddr(); dbg != "" {
-		fmt.Printf("debug server on http://%s (/metrics, /healthz, /readyz, /debug/flightrecorder, /admin/reshard?owners=N)\n", dbg)
-	}
-	if f.chaos != nil {
-		fmt.Printf("chaos mode: %+v\n", *f.chaos)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	gen, owners := c.Generation(), c.OwnerCount()
-	c.Close()
-	fmt.Printf("shut down at generation %d with %d owners\n", gen, owners)
+	fmt.Printf("shut down at generation %d with %d owner(s)\n", gen, nOwners)
 }

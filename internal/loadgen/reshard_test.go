@@ -12,7 +12,7 @@ import (
 
 func bootElastic(t *testing.T, owners, n int) *serveboot.Cluster {
 	t.Helper()
-	c, err := serveboot.BootCluster(serveboot.ElasticConfig{
+	c, err := serveboot.Boot(serveboot.Config{
 		Source: datasets.HomoLumo(datasets.Config{NumGraphs: n}),
 		Owners: owners,
 		Net: transport.RetryPolicy{

@@ -141,7 +141,7 @@ func TestBootFlightRecDirSnapshotsOnSpike(t *testing.T) {
 // the new generation is published.
 func TestClusterReadyzDipsDuringMigration(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 64})
-	c, err := BootCluster(ElasticConfig{
+	c, err := Boot(Config{
 		Source: ds, Owners: 2, DebugAddr: "127.0.0.1:0",
 	})
 	if err != nil {

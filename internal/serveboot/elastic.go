@@ -1,9 +1,7 @@
-// Elastic membership: a Cluster is a set of in-process ddstore-serve
-// owners routing every request through a versioned shard map
-// (internal/shardmap). Owners can join, leave, or crash while clients keep
-// loading: a membership transition plans the minimal chunk moves, the
-// gaining owners pull the moved chunks over the existing batched fetch
-// path while the old owners keep serving, and the next generation is
+// Elastic membership: owners can join, leave, or crash while clients keep
+// loading. A membership transition plans the minimal chunk moves, the
+// gaining resident owners pull the moved chunks over the existing batched
+// fetch path while the old owners keep serving, and the next generation is
 // published gainers-first so every sample stays addressable throughout —
 // a client that lands on the wrong owner gets a stale-generation answer
 // carrying the new map and retries, never a hard error.
@@ -15,13 +13,8 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"ddstore/internal/faultnet"
-	"ddstore/internal/obs"
-	"ddstore/internal/obs/flightrec"
 	"ddstore/internal/shardmap"
 	"ddstore/internal/transport"
 )
@@ -30,353 +23,10 @@ import (
 // — the same batched GetBatchRaw framing clients use.
 const migrateBatch = 256
 
-// ElasticConfig describes an elastic owner cluster. Exactly one of
-// CFFDir, PFFDir, Dataset, or Source selects the durable backing data
-// (the source of last resort when no surviving owner holds a moved
-// chunk).
-type ElasticConfig struct {
-	CFFDir  string
-	PFFDir  string
-	Dataset string
-	N       int
-	Bins    int
-	Source  SampleSource
-
-	// Owners is the initial owner count (default 2).
-	Owners int
-	// Addrs, when set, are explicit listen addresses for the initial
-	// owners (len must be >= Owners); owners beyond the list — and every
-	// owner added later — bind an ephemeral loopback port.
-	Addrs []string
-	// Width is the per-shard replica width the planner maintains
-	// (default 1).
-	Width int
-	// ShardsPerMember is the shard granularity of the initial map
-	// (default 8); finer shards mean finer-grained rebalances.
-	ShardsPerMember int
-
-	// WriteTimeout / IdleTimeout are each owner's defensive limits.
-	WriteTimeout time.Duration
-	IdleTimeout  time.Duration
-	// Net is the retry/deadline policy of the migration pull clients.
-	Net transport.RetryPolicy
-
-	// DebugAddr enables the cluster debug endpoint — /metrics, /healthz,
-	// pprof, plus /admin/reshard?owners=N — on this address.
-	DebugAddr string
-
-	// Chaos, when non-nil, wraps every owner's listener in a faultnet
-	// injector, so both client traffic and migration pulls cross a faulty
-	// fabric (resilience drills).
-	Chaos *faultnet.Scenario
-
-	// FlightRecCap sizes the cluster-wide flight recorder shared by every
-	// owner (0 = default 256, negative disables it).
-	FlightRecCap int
-	// SlowThreshold flight-records successful requests slower than this
-	// (0 = default 250ms, negative disables slow capture).
-	SlowThreshold time.Duration
-}
-
-// elasticChunk is a ChunkSource over a dynamic sample set: LocalRange
-// advertises the full keyspace (ownership is the shard map's job, checked
-// by the server before the chunk is touched), and the resident set grows
-// and shrinks as migrations pull chunks in and cutovers drop them.
-type elasticChunk struct {
-	lo, hi  int64
-	mu      sync.RWMutex
-	samples map[int64][]byte
-}
-
-func newElasticChunk(lo, hi int64) *elasticChunk {
-	return &elasticChunk{lo: lo, hi: hi, samples: make(map[int64][]byte)}
-}
-
-func (c *elasticChunk) LocalRange() (int64, int64) { return c.lo, c.hi }
-
-func (c *elasticChunk) LocalSampleBytes(id int64) ([]byte, error) {
-	c.mu.RLock()
-	b, ok := c.samples[id]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("serveboot: sample %d not resident on this owner", id)
-	}
-	return b, nil
-}
-
-func (c *elasticChunk) put(id int64, raw []byte) {
-	c.mu.Lock()
-	c.samples[id] = raw
-	c.mu.Unlock()
-}
-
-// retainOwned drops every resident sample the member no longer owns under
-// m — the post-cutover memory release on the losing side of a migration.
-func (c *elasticChunk) retainOwned(m *shardmap.Map, mi int) {
-	c.mu.Lock()
-	for id := range c.samples {
-		if !m.OwnedBy(id, mi) {
-			delete(c.samples, id)
-		}
-	}
-	c.mu.Unlock()
-}
-
-func (c *elasticChunk) resident() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.samples)
-}
-
-// mapView adapts one owner's shardmap.Store to the transport server's
-// ShardMapSource: ownership questions resolve against the owner's live
-// generation, keyed by its stable member ID.
-type mapView struct {
-	st *shardmap.Store
-	id string
-}
-
-func (v mapView) Generation() uint64 { return v.st.Generation() }
-
-func (v mapView) Owns(id int64) bool {
-	m := v.st.Current()
-	mi := m.MemberIndex(v.id)
-	return mi >= 0 && m.OwnedBy(id, mi)
-}
-
-func (v mapView) Encoded() ([]byte, error) { return v.st.Encoded() }
-
-// Owner is one serving member of an elastic cluster.
-type Owner struct {
-	ID      string
-	addr    string
-	chunk   *elasticChunk
-	maps    *shardmap.Store
-	srv     *transport.Server
-	crashed atomic.Bool
-}
-
-// Addr returns the owner's data-plane listen address.
-func (o *Owner) Addr() string { return o.addr }
-
-// Resident returns how many samples the owner currently holds.
-func (o *Owner) Resident() int { return o.chunk.resident() }
-
-// Generation returns the owner's applied shard map generation.
-func (o *Owner) Generation() uint64 { return o.maps.Generation() }
-
-// Cluster is a live elastic owner set plus its control plane: membership
-// transitions, chunk migration, and the shared metrics/admin endpoint.
-// All membership operations serialize on the cluster lock; serving and
-// migration overlap freely.
-type Cluster struct {
-	src    SampleSource
-	total  int64
-	width  int
-	net    transport.RetryPolicy
-	wt, it time.Duration
-	chaos  *faultnet.Scenario
-	reg    *obs.Registry
-	dbg    *obs.DebugServer
-	rec    *flightrec.Recorder
-	slow   time.Duration
-	// migrating counts in-flight membership transitions and closing
-	// latches on shutdown; /readyz reads both without touching the
-	// cluster lock (which a migration holds for its whole duration).
-	migrating atomic.Int32
-	closing   atomic.Bool
-	gen       *obs.Gauge
-	moved     *obs.Counter
-	migB      *obs.Histogram
-	migS      *obs.Histogram
-	closers   []func() error
-
-	mu     sync.Mutex
-	cur    *shardmap.Map
-	owners map[string]*Owner
-	order  []string // owner IDs in join order (reshard removes newest first)
-	pulls  map[string]*transport.Client
-	nextID int
-	closed bool
-}
-
-// BootCluster starts an elastic cluster: the initial owners listen, the
-// generation-1 map stripes the keyspace uniformly over them, and each
-// owner preloads the shards it owns from the durable source.
-func BootCluster(cfg ElasticConfig) (*Cluster, error) {
-	src, closers, err := openSource(Config{
-		CFFDir: cfg.CFFDir, PFFDir: cfg.PFFDir,
-		Dataset: cfg.Dataset, N: cfg.N, Bins: cfg.Bins, Source: cfg.Source,
-	})
-	if err != nil {
-		return nil, err
-	}
-	closeAll := func() {
-		for _, cl := range closers {
-			cl()
-		}
-	}
-	total := int64(src.Len())
-	if total == 0 {
-		closeAll()
-		return nil, fmt.Errorf("serveboot: elastic source is empty")
-	}
-	n := cfg.Owners
-	if n <= 0 {
-		n = 2
-	}
-	reg := obs.NewRegistry()
-	c := &Cluster{
-		src: src, total: total, width: cfg.Width, net: cfg.Net,
-		wt: cfg.WriteTimeout, it: cfg.IdleTimeout, chaos: cfg.Chaos,
-		reg:     reg,
-		gen:     obs.ShardMapGenerationGauge(reg),
-		moved:   obs.ShardMapChunksMovedCounter(reg),
-		migB:    obs.MigrationBytesHistogram(reg),
-		migS:    obs.MigrationSecondsHistogram(reg),
-		closers: closers,
-		owners:  make(map[string]*Owner),
-		pulls:   make(map[string]*transport.Client),
-	}
-	if cfg.FlightRecCap >= 0 {
-		c.rec = flightrec.New(cfg.FlightRecCap)
-		c.slow = cfg.SlowThreshold
-		if c.slow == 0 {
-			c.slow = 250 * time.Millisecond
-		}
-		if c.slow < 0 {
-			c.slow = 0
-		}
-	}
-	obs.CollectBuildInfo(reg)
-
-	// Listeners first: member addresses go into the map, so they must be
-	// resolved before generation 1 exists.
-	lns := make([]net.Listener, n)
-	members := make([]shardmap.Member, n)
-	for i := 0; i < n; i++ {
-		addr := "127.0.0.1:0"
-		if i < len(cfg.Addrs) && cfg.Addrs[i] != "" {
-			addr = cfg.Addrs[i]
-		}
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			for _, l := range lns[:i] {
-				l.Close()
-			}
-			closeAll()
-			return nil, fmt.Errorf("serveboot: elastic listen %s: %w", addr, err)
-		}
-		lns[i] = ln
-		id := fmt.Sprintf("owner-%d", c.nextID)
-		c.nextID++
-		members[i] = shardmap.Member{ID: id, Addr: ln.Addr().String()}
-	}
-	m, err := shardmap.Uniform(0, total, members, shardmap.UniformOptions{
-		ShardsPerMember: cfg.ShardsPerMember, Width: cfg.Width,
-	})
-	if err != nil {
-		for _, l := range lns {
-			l.Close()
-		}
-		closeAll()
-		return nil, err
-	}
-	c.cur = m
-	for i := range members {
-		o, err := c.startOwner(lns[i], members[i].ID, m)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.owners[members[i].ID] = o
-		c.order = append(c.order, members[i].ID)
-	}
-	c.gen.Set(float64(m.Gen))
-
-	if cfg.DebugAddr != "" {
-		mux := obs.NewDebugMux(reg, nil)
-		mux.HandleFunc("/admin/reshard", c.handleReshard)
-		// Mid-migration the cluster still answers every request (that is
-		// the point of gainers-first publishing), but readiness dips so
-		// orchestrators hold rolling operations until the cutover lands.
-		obs.AddReadyz(mux, func() (bool, string) {
-			switch {
-			case c.closing.Load():
-				return false, "draining"
-			case c.migrating.Load() > 0:
-				return false, "migrating"
-			}
-			return true, ""
-		})
-		if c.rec != nil {
-			mux.Handle("/debug/flightrecorder", c.rec.Handler())
-		}
-		dbg, err := obs.StartDebugHandler(cfg.DebugAddr, mux)
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.dbg = dbg
-	}
-	return c, nil
-}
-
-// startOwner boots one owner: its own shard map store (seeded with the
-// given generation), its dynamic chunk preloaded with the shards it owns,
-// and a TCP server whose every request is ownership-checked against the
-// owner's live generation.
-func (c *Cluster) startOwner(ln net.Listener, id string, initial *shardmap.Map) (*Owner, error) {
-	st, err := shardmap.NewStore(initial, 0)
-	if err != nil {
-		ln.Close()
-		return nil, err
-	}
-	// Metrics bridge: shardmap stays stdlib-only; every applied
-	// generation lands on the shared gauge here.
-	st.OnApply = func(m *shardmap.Map, _ int) { c.gen.Set(float64(m.Gen)) }
-	chunk := newElasticChunk(0, c.total)
-	if mi := initial.MemberIndex(id); mi >= 0 {
-		for _, sh := range initial.Shards {
-			owned := false
-			for _, o := range sh.Owners {
-				if o == mi {
-					owned = true
-					break
-				}
-			}
-			if !owned {
-				continue
-			}
-			for sid := sh.Lo; sid < sh.Hi; sid++ {
-				g, err := c.src.ReadSample(sid)
-				if err != nil {
-					ln.Close()
-					return nil, fmt.Errorf("serveboot: preload sample %d for %s: %w", sid, id, err)
-				}
-				chunk.put(sid, g.Encode())
-			}
-		}
-	}
-	if c.chaos != nil {
-		ln = faultnet.New(*c.chaos).Listener(ln)
-	}
-	o := &Owner{ID: id, addr: ln.Addr().String(), chunk: chunk, maps: st}
-	o.srv = transport.ServeListener(ln, chunk, transport.ServerOptions{
-		WriteTimeout:   c.wt,
-		IdleTimeout:    c.it,
-		Metrics:        c.reg,
-		ShardMap:       mapView{st: st, id: id},
-		FlightRecorder: c.rec, // shared cluster-wide; stale records carry the op
-		SlowThreshold:  c.slow,
-	})
-	return o, nil
-}
-
 // AddOwner joins a new owner: it boots empty under the current
 // generation, the planner moves the minimum shards onto it, migration
-// pulls those chunks while the old owners keep serving, and the next
-// generation cuts over. Returns the new owner's ID.
+// fills it while the old owners keep serving, and the next generation
+// cuts over. Returns the new owner's ID.
 func (c *Cluster) AddOwner() (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -385,13 +35,12 @@ func (c *Cluster) AddOwner() (string, error) {
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", fmt.Errorf("serveboot: elastic listen: %w", err)
+		return "", fmt.Errorf("serveboot: listen: %w", err)
 	}
-	id := fmt.Sprintf("owner-%d", c.nextID)
-	c.nextID++
+	id := c.newOwnerID()
 	members := append(append([]shardmap.Member(nil), c.cur.Members...),
 		shardmap.Member{ID: id, Addr: ln.Addr().String()})
-	next, moves, err := shardmap.Planner{Width: c.width}.Next(c.cur, members)
+	next, moves, err := shardmap.Planner{Width: c.cfg.Width}.Next(c.cur, members)
 	if err != nil {
 		ln.Close()
 		return "", err
@@ -400,8 +49,7 @@ func (c *Cluster) AddOwner() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	c.owners[id] = o
-	c.order = append(c.order, id)
+	c.owners = append(c.owners, o)
 	if err := c.migrateAndPublish(next, moves); err != nil {
 		return "", err
 	}
@@ -410,40 +58,11 @@ func (c *Cluster) AddOwner() (string, error) {
 
 // RemoveOwner drains an owner out of the cluster gracefully: its shards
 // migrate to the survivors (pulled from it while it still serves), the
-// next generation excludes it, and only then does it shut down.
+// next generation excludes it, and only then does it drain and shut down.
 func (c *Cluster) RemoveOwner(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.removeLocked(id)
-}
-
-func (c *Cluster) removeLocked(id string) error {
-	if c.closed {
-		return fmt.Errorf("serveboot: cluster is closed")
-	}
-	o := c.owners[id]
-	if o == nil {
-		return fmt.Errorf("serveboot: unknown owner %q", id)
-	}
-	if len(c.owners) == 1 {
-		return fmt.Errorf("serveboot: cannot remove the last owner")
-	}
-	members := make([]shardmap.Member, 0, len(c.cur.Members)-1)
-	for _, m := range c.cur.Members {
-		if m.ID != id {
-			members = append(members, m)
-		}
-	}
-	next, moves, err := shardmap.Planner{Width: c.width}.Next(c.cur, members)
-	if err != nil {
-		return err
-	}
-	if err := c.migrateAndPublish(next, moves); err != nil {
-		return err
-	}
-	c.dropOwner(id)
-	o.srv.Close()
-	return nil
+	return c.leaveLocked(id, false)
 }
 
 // CrashOwner kills an owner abruptly (no drain, no handoff) and then
@@ -453,44 +72,56 @@ func (c *Cluster) removeLocked(id string) error {
 func (c *Cluster) CrashOwner(id string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	o := c.owners[id]
+	return c.leaveLocked(id, true)
+}
+
+// leaveLocked plans owner id out of the membership and publishes the
+// generation without it. Callers hold c.mu.
+func (c *Cluster) leaveLocked(id string, crash bool) error {
+	if c.closed {
+		return fmt.Errorf("serveboot: cluster is closed")
+	}
+	o := c.ownerLocked(id)
 	if o == nil {
 		return fmt.Errorf("serveboot: unknown owner %q", id)
 	}
 	if len(c.owners) == 1 {
-		return fmt.Errorf("serveboot: cannot crash the last owner")
+		return fmt.Errorf("serveboot: cannot remove the last owner")
 	}
-	o.crashed.Store(true)
-	o.srv.Close() // abrupt: in-flight connections die mid-request
+	if crash {
+		o.crashed.Store(true)
+		o.srv.Close() // abrupt: in-flight connections die mid-request
+		if o.fe != nil {
+			o.fe.Close()
+		}
+	}
 	members := make([]shardmap.Member, 0, len(c.cur.Members)-1)
 	for _, m := range c.cur.Members {
 		if m.ID != id {
 			members = append(members, m)
 		}
 	}
-	next, moves, err := shardmap.Planner{Width: c.width}.Next(c.cur, members)
+	next, moves, err := shardmap.Planner{Width: c.cfg.Width}.Next(c.cur, members)
 	if err != nil {
 		return err
 	}
 	if err := c.migrateAndPublish(next, moves); err != nil {
 		return err
 	}
-	c.dropOwner(id)
-	return nil
-}
-
-func (c *Cluster) dropOwner(id string) {
-	delete(c.owners, id)
-	for i, oid := range c.order {
-		if oid == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
+	for i, oo := range c.owners {
+		if oo == o {
+			c.owners = append(c.owners[:i], c.owners[i+1:]...)
 			break
 		}
 	}
-	if cl := c.pulls[id]; cl != nil {
+	if cl := c.pulls[o.addr]; cl != nil {
 		cl.Close()
-		delete(c.pulls, id)
+		delete(c.pulls, o.addr)
 	}
+	if !crash {
+		c.shutdown([]*Owner{o})
+	}
+	return nil
 }
 
 // Reshard grows or shrinks the cluster to n owners, one membership
@@ -506,8 +137,7 @@ func (c *Cluster) Reshard(n int) error {
 	}
 	for c.OwnerCount() > n {
 		c.mu.Lock()
-		id := c.order[len(c.order)-1]
-		err := c.removeLocked(id)
+		err := c.leaveLocked(c.owners[len(c.owners)-1].ID, false)
 		c.mu.Unlock()
 		if err != nil {
 			return err
@@ -517,37 +147,41 @@ func (c *Cluster) Reshard(n int) error {
 }
 
 // migrateAndPublish executes one planned transition under the cluster
-// lock: pull every moved chunk to its gaining owner (old owners still
-// serving), publish the next generation to the gainers first and the
-// rest after, then release the bytes the losers no longer own.
+// lock: pull every moved chunk to its gaining resident owner (old owners
+// still serving; a lazy owner reads the durable source instead), publish
+// the next generation to the gainers first and the rest after, then
+// release the bytes the losers no longer own.
 func (c *Cluster) migrateAndPublish(next *shardmap.Map, moves []shardmap.Move) error {
 	c.migrating.Add(1)
 	defer c.migrating.Add(-1)
 	start := time.Now()
 	var bytes int64
-	gainers := make(map[string]bool)
+	gainers := make(map[*Owner]bool)
 	for _, mv := range moves {
-		gainer := c.owners[mv.ToID]
+		gainer := c.ownerLocked(mv.ToID)
 		if gainer == nil {
 			return fmt.Errorf("serveboot: move targets unknown owner %q", mv.ToID)
+		}
+		gainers[gainer] = true
+		if gainer.chunk.hot != nil {
+			continue
 		}
 		n, err := c.pullMove(mv, gainer)
 		bytes += n
 		if err != nil {
 			return err
 		}
-		gainers[mv.ToID] = true
 	}
 	// Gainers first: once an owner answers for a moved chunk it must hold
 	// the bytes. Losers keep serving under the old generation until their
 	// own apply, so the chunk never goes dark.
-	for id := range gainers {
-		if _, err := c.owners[id].maps.ApplyIfNewer(next); err != nil {
+	for o := range gainers {
+		if _, err := o.maps.ApplyIfNewer(next); err != nil {
 			return err
 		}
 	}
-	for id, o := range c.owners {
-		if gainers[id] {
+	for _, o := range c.owners {
+		if gainers[o] {
 			continue
 		}
 		if _, err := o.maps.ApplyIfNewer(next); err != nil {
@@ -555,8 +189,8 @@ func (c *Cluster) migrateAndPublish(next *shardmap.Map, moves []shardmap.Move) e
 		}
 	}
 	c.cur = next
-	for id, o := range c.owners {
-		if mi := next.MemberIndex(id); mi >= 0 {
+	for _, o := range c.owners {
+		if mi := next.MemberIndex(o.ID); mi >= 0 {
 			o.chunk.retainOwned(next, mi)
 		}
 	}
@@ -578,7 +212,7 @@ func (c *Cluster) pullMove(mv shardmap.Move, gainer *Owner) (int64, error) {
 			return
 		}
 		tried[id] = true
-		if o := c.owners[id]; o != nil && !o.crashed.Load() {
+		if o := c.ownerLocked(id); o != nil && !o.crashed.Load() {
 			addrs = append(addrs, o.addr)
 		}
 	}
@@ -622,7 +256,7 @@ func (c *Cluster) pullBatch(addrs []string, ids []int64) ([][]byte, error) {
 	for _, addr := range addrs {
 		cl := c.pulls[addr]
 		if cl == nil {
-			if cl, err = transport.DialOptions(addr, transport.ClientOptions{Policy: c.net}); err != nil {
+			if cl, err = transport.DialOptions(addr, transport.ClientOptions{Policy: c.cfg.Net}); err != nil {
 				continue
 			}
 			c.pulls[addr] = cl
@@ -641,11 +275,11 @@ func (c *Cluster) pullBatch(addrs []string, ids []int64) ([][]byte, error) {
 func (c *Cluster) readBatchFromSource(ids []int64) ([][]byte, error) {
 	raws := make([][]byte, len(ids))
 	for i, id := range ids {
-		g, err := c.src.ReadSample(id)
+		raw, err := encodeSample(c.src, id)
 		if err != nil {
 			return nil, fmt.Errorf("durable source read %d: %w", id, err)
 		}
-		raws[i] = g.Encode()
+		raws[i] = raw
 	}
 	return raws, nil
 }
@@ -668,114 +302,11 @@ func (c *Cluster) handleReshard(w http.ResponseWriter, r *http.Request) {
 		Owners     []string `json:"owners"`
 		Addrs      []string `json:"addrs"`
 	}{Generation: c.cur.Gen}
-	for _, id := range c.order {
-		resp.Owners = append(resp.Owners, id)
-		resp.Addrs = append(resp.Addrs, c.owners[id].addr)
+	for _, o := range c.owners {
+		resp.Owners = append(resp.Owners, o.ID)
+		resp.Addrs = append(resp.Addrs, o.addr)
 	}
 	c.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)
-}
-
-// Addrs returns the live owners' data-plane addresses in join order —
-// the seed list for elastic clients.
-func (c *Cluster) Addrs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	addrs := make([]string, 0, len(c.order))
-	for _, id := range c.order {
-		addrs = append(addrs, c.owners[id].addr)
-	}
-	return addrs
-}
-
-// Owner returns a live owner by ID, or nil.
-func (c *Cluster) Owner(id string) *Owner {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.owners[id]
-}
-
-// OwnerIDs returns the live owner IDs in join order.
-func (c *Cluster) OwnerIDs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.order...)
-}
-
-// OwnerCount returns the live owner count.
-func (c *Cluster) OwnerCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.owners)
-}
-
-// Generation returns the cluster's published shard map generation.
-func (c *Cluster) Generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cur.Gen
-}
-
-// Len returns the keyspace size in samples.
-func (c *Cluster) Len() int64 { return c.total }
-
-// Registry returns the cluster's shared metrics registry.
-func (c *Cluster) Registry() *obs.Registry { return c.reg }
-
-// FlightRecorder returns the cluster-wide flight recorder, or nil when
-// ElasticConfig.FlightRecCap was negative.
-func (c *Cluster) FlightRecorder() *flightrec.Recorder { return c.rec }
-
-// DebugAddr returns the debug/admin endpoint address, or "".
-func (c *Cluster) DebugAddr() string {
-	if c.dbg == nil {
-		return ""
-	}
-	return c.dbg.Addr()
-}
-
-// MetricsURL returns the full /metrics scrape URL, or "".
-func (c *Cluster) MetricsURL() string {
-	if c.dbg == nil {
-		return ""
-	}
-	return "http://" + c.dbg.Addr() + "/metrics"
-}
-
-// Close shuts the whole cluster down: admin endpoint, every owner, the
-// migration pull clients, and the backing source.
-func (c *Cluster) Close() error {
-	c.closing.Store(true) // /readyz answers 503 from here on
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	owners := c.owners
-	pulls := c.pulls
-	c.owners = map[string]*Owner{}
-	c.pulls = map[string]*transport.Client{}
-	c.order = nil
-	c.mu.Unlock()
-
-	if c.dbg != nil {
-		c.dbg.Close()
-	}
-	var err error
-	for _, cl := range pulls {
-		cl.Close()
-	}
-	for _, o := range owners {
-		if cerr := o.srv.Close(); err == nil {
-			err = cerr
-		}
-	}
-	for _, cl := range c.closers {
-		if cerr := cl(); err == nil {
-			err = cerr
-		}
-	}
-	return err
 }

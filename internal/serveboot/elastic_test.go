@@ -2,6 +2,7 @@ package serveboot
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -28,9 +29,9 @@ func fastNet() transport.RetryPolicy {
 	}
 }
 
-func bootTestCluster(t *testing.T, owners, n int, mut func(*ElasticConfig)) *Cluster {
+func bootTestCluster(t *testing.T, owners, n int, mut func(*Config)) *Cluster {
 	t.Helper()
-	cfg := ElasticConfig{
+	cfg := Config{
 		Source: datasets.HomoLumo(datasets.Config{NumGraphs: n}),
 		Owners: owners,
 		Net:    fastNet(),
@@ -38,7 +39,7 @@ func bootTestCluster(t *testing.T, owners, n int, mut func(*ElasticConfig)) *Clu
 	if mut != nil {
 		mut(&cfg)
 	}
-	c, err := BootCluster(cfg)
+	c, err := Boot(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,16 +174,39 @@ func TestRemoveOwnerHandsOffBeforeShutdown(t *testing.T) {
 }
 
 func TestLiveReshardUnderLoadZeroHardErrors(t *testing.T) {
-	// The acceptance drill: a 2-owner cluster rebalances to 3 while
-	// clients hammer it. Every load must succeed — stale-generation
-	// refreshes and failovers are fine, hard errors are not.
-	const n = 300
-	c := bootTestCluster(t, 2, n, nil)
+	reshardUnderLoad(t, bootTestCluster(t, 2, 300, nil), 300)
+}
+
+// TestLazyLiveReshardUnderLoadZeroHardErrors runs the drill on lazy
+// owners: a joining owner pulls nothing and serves its new shards from
+// the durable source through its cache.
+func TestLazyLiveReshardUnderLoadZeroHardErrors(t *testing.T) {
+	c := bootTestCluster(t, 2, 300, func(cfg *Config) { cfg.CacheBytes = 1 << 20 })
+	reshardUnderLoad(t, c, 300)
+	if st, ok := c.CacheStats(); !ok || st.Misses == 0 {
+		t.Fatalf("lazy owners never filled their caches: %+v, %v", st, ok)
+	}
+}
+
+// reshardUnderLoad is the acceptance drill: a 2-owner cluster rebalances
+// to 3 while clients hammer it. Every load must succeed — stale-generation
+// refreshes and failovers are fine, hard errors are not. The first hard
+// error is kept with its ids and the client's generation, and a failure
+// dumps the cluster flight recorder, so a rare failure explains itself.
+func reshardUnderLoad(t *testing.T, c *Cluster, n int64) {
+	t.Helper()
 	g := elasticGroup(t, c)
 	loadAll(t, g, n) // warm bootstrap
 
 	var hardErrs atomic.Int64
 	var loads atomic.Int64
+	var firstOnce sync.Once
+	var first string
+	hardErr := func(ids []int64, err error) {
+		hardErrs.Add(1)
+		gen := g.Generation()
+		firstOnce.Do(func() { first = fmt.Sprintf("%v (ids %v, client generation %d)", err, ids, gen) })
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -202,12 +226,12 @@ func TestLiveReshardUnderLoadZeroHardErrors(t *testing.T) {
 				}
 				gs, err := g.Load(ids)
 				if err != nil {
-					hardErrs.Add(1)
+					hardErr(ids, err)
 					continue
 				}
 				for i := range gs {
 					if gs[i] == nil || gs[i].ID != ids[i] {
-						hardErrs.Add(1)
+						hardErr(ids, fmt.Errorf("slot %d came back as %v", i, gs[i]))
 					}
 				}
 				loads.Add(1)
@@ -226,7 +250,14 @@ func TestLiveReshardUnderLoadZeroHardErrors(t *testing.T) {
 	wg.Wait()
 
 	if he := hardErrs.Load(); he != 0 {
-		t.Fatalf("%d hard errors during live reshard (loads=%d)", he, loads.Load())
+		if rec := c.FlightRecorder(); rec != nil {
+			for _, r := range rec.Records() {
+				b, _ := json.Marshal(r)
+				t.Logf("flight record: %s", b)
+			}
+		}
+		t.Fatalf("%d hard errors during live reshard (loads=%d); first: %s; cluster generation %d, client generation %d",
+			he, loads.Load(), first, c.Generation(), g.Generation())
 	}
 	if loads.Load() == 0 {
 		t.Fatal("no loads completed")
@@ -277,7 +308,7 @@ func TestCrashWithReplicasPromotesWithoutSourceReads(t *testing.T) {
 	// promotion plus replica top-up pulls — the durable source is never
 	// needed for the promoted primaries.
 	src := &countingSource{SampleSource: datasets.HomoLumo(datasets.Config{NumGraphs: 120})}
-	c := bootTestCluster(t, 3, 120, func(cfg *ElasticConfig) {
+	c := bootTestCluster(t, 3, 120, func(cfg *Config) {
 		cfg.Source = src
 		cfg.Width = 2
 	})
@@ -313,7 +344,7 @@ func TestMidMigrationCrashDegradesToRetryAndSource(t *testing.T) {
 	// so migration pulls fail mid-stream and must retry or fall back to
 	// the durable source — the transition still converges and clients
 	// still see every sample.
-	c := bootTestCluster(t, 2, 200, func(cfg *ElasticConfig) {
+	c := bootTestCluster(t, 2, 200, func(cfg *Config) {
 		cfg.Chaos = &faultnet.Scenario{Seed: 7, ResetProb: 0.02}
 	})
 	if _, err := c.AddOwner(); err != nil {
@@ -346,7 +377,7 @@ func TestMidMigrationCrashDegradesToRetryAndSource(t *testing.T) {
 }
 
 func TestAdminReshardEndpointAndMetrics(t *testing.T) {
-	c := bootTestCluster(t, 2, 100, func(cfg *ElasticConfig) {
+	c := bootTestCluster(t, 2, 100, func(cfg *Config) {
 		cfg.DebugAddr = "127.0.0.1:0"
 	})
 	if c.DebugAddr() == "" {
@@ -417,4 +448,97 @@ func TestClusterGenerationIsMonotonic(t *testing.T) {
 	}
 	g := elasticGroup(t, c)
 	loadAll(t, g, 120)
+}
+
+// TestElasticGroupBootstrapsFromStaticServer: a -lo/-hi server is a
+// one-owner cluster, so it serves its generation-1 shard map and a
+// map-following client can join it like any other cluster.
+func TestElasticGroupBootstrapsFromStaticServer(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 40})
+	inst, err := Boot(Config{Source: ds, Lo: 10, Hi: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+	g, err := transport.NewElasticGroup([]string{inst.Addr()}, transport.GroupOptions{
+		Client: transport.ClientOptions{Policy: fastNet()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if lo, hi := g.Range(); lo != 10 || hi != 30 || g.Generation() != 1 || g.Replicas() != 1 {
+		t.Fatalf("group sees [%d,%d) gen %d width %d, want [10,30) gen 1 width 1",
+			lo, hi, g.Generation(), g.Replicas())
+	}
+	ids := []int64{29, 10, 17, 17}
+	gs, err := g.Load(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if gs[i].ID != id {
+			t.Fatalf("slot %d: got sample %d, want %d", i, gs[i].ID, id)
+		}
+	}
+	if _, err := g.Load([]int64{30}); err == nil {
+		t.Fatal("load past the keyspace succeeded")
+	}
+}
+
+// TestOutOfKeyspaceIsRangeErrorNotStale pins the ownership rule: an id
+// inside the keyspace that an owner does not hold gets a stale-generation
+// answer (refresh and retry), while an id outside the keyspace gets a
+// plain range error from every owner, on single and batched ops alike —
+// no generation can route it anywhere.
+func TestOutOfKeyspaceIsRangeErrorNotStale(t *testing.T) {
+	c := bootTestCluster(t, 2, 100, nil)
+	cl, err := transport.Dial(c.Owner(c.OwnerIDs()[0]).Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.GetBatchRaw([]int64{99}); !errors.Is(err, transport.ErrStaleGeneration) {
+		t.Fatalf("batch get of the other owner's sample: %v, want ErrStaleGeneration", err)
+	}
+	for _, id := range []int64{100, 1 << 40} {
+		if _, err := cl.GetBatchRaw([]int64{0, id}); err == nil || errors.Is(err, transport.ErrStaleGeneration) {
+			t.Fatalf("batch get of %d outside the keyspace: %v, want a range error", id, err)
+		}
+		if _, err := cl.Get(id); err == nil || errors.Is(err, transport.ErrStaleGeneration) {
+			t.Fatalf("get of %d outside the keyspace: %v, want a range error", id, err)
+		}
+	}
+	if g, err := cl.Get(0); err != nil || g.ID != 0 {
+		t.Fatalf("connection unusable after range errors: %v, %v", g, err)
+	}
+}
+
+// TestGroupReplicasIsMinShardWidth: a static group freezes one owner per
+// replica into every shard and an elastic group reads the planner's
+// width, so both report replicas as the minimum shard width.
+func TestGroupReplicasIsMinShardWidth(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 60})
+	var replicas [][]string
+	for r := 0; r < 2; r++ {
+		inst, err := Boot(Config{Source: ds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inst.Close()
+		replicas = append(replicas, []string{inst.Addr()})
+	}
+	static, err := transport.NewGroupReplicas(replicas, transport.GroupOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer static.Close()
+	if got := static.Replicas(); got != 2 {
+		t.Fatalf("2-replica static group reports %d replicas", got)
+	}
+
+	c := bootTestCluster(t, 3, 60, func(cfg *Config) { cfg.Width = 2 })
+	if got := elasticGroup(t, c).Replicas(); got != 2 {
+		t.Fatalf("width-2 elastic group reports %d replicas", got)
+	}
 }

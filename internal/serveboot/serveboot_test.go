@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 )
 
 // TestLazyChunkServes drives the CacheBytes serving mode end to end: a
-// lazyChunk behind a real TCP server answers repeated Gets correctly, the
+// lazy owner behind a real TCP server answers repeated Gets correctly, the
 // second pass over the ids is all cache hits, and ids outside the served
 // range are rejected without touching the backing source.
 func TestLazyChunkServes(t *testing.T) {
@@ -208,15 +209,19 @@ func TestBootPreloadMode(t *testing.T) {
 }
 
 // blockingSource stalls reads of one sample id until release is closed,
-// so a test can hold a request in flight server-side at will.
+// so a test can hold a request in flight server-side at will. entered is
+// closed when the first read of that id begins.
 type blockingSource struct {
 	SampleSource
 	block   int64
 	release chan struct{}
+	entered chan struct{}
+	once    sync.Once
 }
 
 func (b *blockingSource) ReadSample(id int64) (*graph.Graph, error) {
 	if id == b.block {
+		b.once.Do(func() { close(b.entered) })
 		<-b.release
 	}
 	return b.SampleSource.ReadSample(id)
@@ -238,11 +243,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // is refused with the overloaded/draining wire status, and the debug
 // endpoint must stay scrapeable — with the draining gauge raised — for
 // the whole drain (it used to be torn down alongside the server).
-func TestCloseDrainsGracefully(t *testing.T) {
+func TestCloseDrainsGracefully(t *testing.T) { closeDrainsGracefully(t, 1) }
+
+// TestClusterCloseDrainsGracefully runs the same drill on a two-owner
+// cluster: every cluster shuts down in the one drain order.
+func TestClusterCloseDrainsGracefully(t *testing.T) { closeDrainsGracefully(t, 2) }
+
+// closeDrainsGracefully drives the drain drill against the first owner of
+// a lazy cluster (ids 3 and 7 live there at one or two owners).
+func closeDrainsGracefully(t *testing.T, owners int) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 50})
-	src := &blockingSource{SampleSource: ds, block: 7, release: make(chan struct{})}
+	src := &blockingSource{SampleSource: ds, block: 7,
+		release: make(chan struct{}), entered: make(chan struct{})}
 	inst, err := Boot(Config{
-		Source: src, Lo: 0, Hi: 50,
+		Source: src, Lo: 0, Hi: 50, Owners: owners,
 		CacheBytes: 1 << 20, WriteTimeout: time.Second,
 		DebugAddr:  "127.0.0.1:0",
 		QueueDepth: 8, FrontendWorkers: 2, DrainTimeout: 10 * time.Second,
@@ -283,6 +297,16 @@ func TestCloseDrainsGracefully(t *testing.T) {
 		g, err := cl.Get(7) // blocks in ReadSample until release closes
 		inflight <- getResult{g, err}
 	}()
+	// Wait for the request to reach the source, not merely for InFlight:
+	// the warm-up Get(3) holds its front-end permit until after its reply
+	// is written, so InFlight >= 1 alone can be satisfied before Get(7) is
+	// admitted — and a Close started then sheds Get(7) instead of draining
+	// it.
+	select {
+	case <-src.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the request to reach the source")
+	}
 	waitFor(t, "request in flight", func() bool {
 		st, _ := inst.FrontendStats()
 		return st.InFlight >= 1

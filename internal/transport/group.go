@@ -79,8 +79,7 @@ type Group struct {
 	health     *health.Tracker[string]
 	clientOpts ClientOptions
 	spans      *obs.SpanRing // nil without GroupOptions.Spans
-	elastic    bool
-	replicas   int // static replica count; 0 for elastic groups
+	elastic    bool          // follow the map from survivors when a chunk's owners all fail
 
 	mu      sync.Mutex
 	clients map[string]*Client // by peer address; dialed lazily in elastic mode
@@ -199,7 +198,6 @@ func NewGroupReplicas(replicas [][]string, opts GroupOptions) (*Group, error) {
 		g.Close()
 		return nil, err
 	}
-	g.replicas = len(replicas)
 	g.initEngine(opts)
 	return g, nil
 }
@@ -323,12 +321,10 @@ func (g *Group) Close() {
 }
 
 // Replicas returns the number of full dataset copies the group can reach:
-// the static replica count, or for elastic groups the minimum replica
-// width across the current generation's shards.
+// the minimum replica width across the current generation's shards. A
+// static group's map gives every shard one owner per replica, so this is
+// its replica count.
 func (g *Group) Replicas() int {
-	if !g.elastic {
-		return g.replicas
-	}
 	m := g.maps.Current()
 	width := 0
 	for i := range m.Shards {

@@ -830,8 +830,19 @@ func (s *Server) ownsAll(lo, hi int64) error {
 	return nil
 }
 
-// ownsBatch is ownsAll over an id list.
+// ownsBatch is ownsAll over an id list, after range-checking every id as
+// the single-id ops' headers are: an id outside the chunk is an error on
+// every server, never a stale-generation answer, since no generation
+// routes it anywhere. Any out-of-range id fails the whole batch — the
+// client grouped the ids by owner, so a stray id is a protocol error, not
+// a partial-result situation.
 func (s *Server) ownsBatch(ids []int64) error {
+	lo, hi := s.src.LocalRange()
+	for _, id := range ids {
+		if id < lo || id >= hi {
+			return fmt.Errorf("sample %d outside chunk [%d,%d)", id, lo, hi)
+		}
+	}
 	sm := s.opts.ShardMap
 	if sm == nil {
 		return nil
@@ -855,17 +866,12 @@ func (s *Server) staleErr() error {
 // batchParts gathers the requested samples into the length-prefixed batch
 // response framing as a part list: one shared slab holds every 4-byte
 // length prefix, and each sample's cached bytes are referenced directly,
-// so the reply costs zero per-chunk copies. Any out-of-range id fails the
-// whole batch — the client grouped the ids by owner, so a stray id is a
-// protocol error, not a partial-result situation.
+// so the reply costs zero per-chunk copies. The ids are range-checked by
+// ownsBatch.
 func (s *Server) batchParts(ids []int64) ([][]byte, error) {
-	lo, hi := s.src.LocalRange()
 	parts := make([][]byte, 0, 2*len(ids))
 	prefixes := make([]byte, 4*len(ids))
 	for i, id := range ids {
-		if id < lo || id >= hi {
-			return nil, fmt.Errorf("sample %d outside chunk [%d,%d)", id, lo, hi)
-		}
 		one, err := s.src.LocalSampleBytes(id)
 		if err != nil {
 			return nil, err
