@@ -145,3 +145,38 @@ func TestConcurrentRetainRelease(t *testing.T) {
 	}
 	b.Release()
 }
+
+// TestPoisonCoversEveryLength checks the doubling poison fill at lengths
+// that are not powers of two: every byte of the [:n] payload is poisoned
+// and the class capacity past n is left as it was.
+func TestPoisonCoversEveryLength(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 255, 257, 1000, 23 << 10} {
+		b := Get(n)
+		full := b.data[:cap(b.data)]
+		for i := range full {
+			full[i] = 0x11
+		}
+		b.Release()
+		for i, v := range full {
+			want := byte(0x11)
+			if i < n {
+				want = Poison
+			}
+			if v != want {
+				t.Fatalf("n=%d: byte %d = %#x after final release, want %#x", n, i, v, want)
+			}
+		}
+	}
+}
+
+// BenchmarkRelease times Get plus a final Release of a 32 KiB-class buffer
+// (about the size of a 16-sample reply), i.e. the pool round trip and the
+// poison fill.
+func BenchmarkRelease(b *testing.B) {
+	const n = 23 << 10
+	b.SetBytes(n)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Get(n).Release()
+	}
+}

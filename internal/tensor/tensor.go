@@ -75,25 +75,29 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// The three matmul kernels below are register-blocked: a pass keeps a
-// strip of output cells in local accumulators across the whole k loop and
-// stores each cell once. Blocking only regroups independent cells. Every
-// cell keeps the float32 operation sequence of the plain triple loop:
-// start from +0, k ascending, the same zero-skips, and each product
-// rounded before it is added (the explicit float32 conversions forbid
-// fusing the pair into an FMA). Results are therefore bit-identical to the
-// scalar loops and, with ParallelFor's output-row partition, for every
-// worker count. Rows are sliced once per row or per k step, so the strip
-// loops index with constants and carry no per-element bounds checks.
+// The three matmuls below hand every full 16-column block of an output row
+// to kernel16 (kernel.go), which keeps the block in accumulators across
+// the whole k loop and stores each cell once; the last c%16 columns run in
+// Go strips. Blocking only regroups independent cells. Every cell keeps
+// the float32 operation sequence of the plain triple loop: start from +0,
+// k ascending, the same zero-skips, and each product rounded before it is
+// added (the explicit float32 conversions, and MULPS then ADDPS in the
+// kernel, forbid fusing the pair into an FMA). Results are therefore
+// bit-identical to the scalar loops and, with ParallelFor's output-row
+// partition, for every worker count. Rows are sliced once per row or per k
+// step, so the strip loops index with constants and carry no per-element
+// bounds checks.
 
 // MatMulInto computes out = a · b into a preallocated out (overwritten).
-func MatMulInto(out, a, b *Matrix) {
+func MatMulInto(out, a, b *Matrix) { matMulInto(kernel16, out, a, b) }
+
+func matMulInto(kern kernel16Func, out, a, b *Matrix) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmul into %dx%d = %dx%d · %dx%d",
 			out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	// Parallel over output rows; per row, 8-column strips accumulate over
-	// the k-th row of b in ascending k, skipping zero a[i][k].
+	// Parallel over output rows; per row, column blocks accumulate over the
+	// k-th row of b in ascending k, skipping zero a[i][k].
 	n, c := a.Cols, b.Cols
 	ad, bd, od := a.Data, b.Data, out.Data
 	ParallelFor(a.Rows, 2*n*c, func(lo, hi int) {
@@ -101,6 +105,9 @@ func MatMulInto(out, a, b *Matrix) {
 			arow := ad[i*n : i*n+n]
 			orow := od[i*c : i*c+c]
 			j := 0
+			for ; j+16 <= c; j += 16 {
+				run16(kern, orow[j:j+16:j+16], arow, 0, bd, j, n, 1, c, true)
+			}
 			for ; j+8 <= c; j += 8 {
 				var s0, s1, s2, s3, s4, s5, s6, s7 float32
 				off := j
@@ -137,20 +144,25 @@ func MatMulInto(out, a, b *Matrix) {
 }
 
 // MatMulAT computes out = aᵀ · b. a is k×r, b is k×c, out is r×c.
-func MatMulAT(a, b *Matrix) *Matrix {
+func MatMulAT(a, b *Matrix) *Matrix { return matMulAT(kernel16, a, b) }
+
+func matMulAT(kern kernel16Func, a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulAT %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Cols, b.Cols)
-	// Parallel over output rows (a's columns); per out row i, 8-column
-	// strips accumulate over the rows of b in ascending k, skipping zero
-	// a[k][i] — the column of a is read with stride r.
+	// Parallel over output rows (a's columns); per out row i, column blocks
+	// accumulate over the rows of b in ascending k, skipping zero a[k][i] —
+	// the column of a is read with stride r.
 	n, r, c := a.Rows, a.Cols, b.Cols
 	ad, bd, od := a.Data, b.Data, out.Data
 	ParallelFor(r, 2*n*c, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			orow := od[i*c : i*c+c]
 			j := 0
+			for ; j+16 <= c; j += 16 {
+				run16(kern, orow[j:j+16:j+16], ad, i, bd, j, n, r, c, true)
+			}
 			for ; j+8 <= c; j += 8 {
 				var s0, s1, s2, s3, s4, s5, s6, s7 float32
 				off := j
@@ -188,21 +200,37 @@ func MatMulAT(a, b *Matrix) *Matrix {
 }
 
 // MatMulBT computes out = a · bᵀ. a is r×k, b is c×k, out is r×c.
-func MatMulBT(a, b *Matrix) *Matrix {
+func MatMulBT(a, b *Matrix) *Matrix { return matMulBT(kernel16, a, b) }
+
+func matMulBT(kern kernel16Func, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulBT %dx%d · %dx%d ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Rows)
-	// Parallel over rows of a; each out cell is one serial dot product over
-	// k, and four of them (columns j..j+3) run as independent chains so the
+	// Parallel over rows of a. Column blocks run the kernel over bᵀ (k×c,
+	// transposed once per call; b is a weight, small next to a), without
+	// the zero-skip. Each remaining cell is one serial dot product over k,
+	// and four of them (columns j..j+3) run as independent chains so the
 	// adds overlap instead of waiting on one another.
 	n, c := a.Cols, b.Rows
 	ad, bd, od := a.Data, b.Data, out.Data
+	var bt []float32
+	if c >= 16 {
+		bt = make([]float32, n*c)
+		for j := 0; j < c; j++ {
+			for k, v := range bd[j*n : j*n+n] {
+				bt[k*c+j] = v
+			}
+		}
+	}
 	ParallelFor(a.Rows, 2*n*c, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			arow := ad[i*n : i*n+n]
 			orow := od[i*c : i*c+c]
 			j := 0
+			for ; j+16 <= c; j += 16 {
+				run16(kern, orow[j:j+16:j+16], arow, 0, bt, j, n, 1, c, false)
+			}
 			for ; j+4 <= c; j += 4 {
 				b0 := bd[j*n : j*n+n][:len(arow)]
 				b1 := bd[(j+1)*n : (j+1)*n+n][:len(arow)]
