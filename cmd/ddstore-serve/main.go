@@ -4,7 +4,7 @@
 // routing through a versioned shard map: a plain -lo/-hi server is one
 // owner whose map stays at generation 1, and -elastic N boots N owners
 // that the debug endpoint's /admin/reshard can grow or shrink while
-// clients keep loading. Peers connect with transport.NewGroup /
+// clients keep loading. Peers connect with transport.NewGroupReplicas /
 // transport.NewElasticGroup (or any client speaking the simple
 // length-prefixed protocol in internal/transport). The assembly itself
 // lives in internal/serveboot so tests and the load-generator harness can

@@ -48,9 +48,12 @@ func main() {
 					ids[i] += int64(store.Len())
 				}
 			}
-			_, lat, err := store.LoadTimed(ids)
+			lzs, lat, err := store.LoadLazy(ids)
 			if err != nil {
 				return err
+			}
+			for _, lz := range lzs {
+				lz.Release() // only the latencies are wanted
 			}
 			mu.Lock()
 			all = append(all, lat...)

@@ -143,12 +143,12 @@ func degradedPass(ds *datasets.Dataset, samples, gets int, seed int64, dsc degra
 	start := time.Now()
 	for i := 0; i < gets; i++ {
 		id := int64(i) % int64(samples)
-		g, err := grp.Get(id)
+		gs, err := grp.Load([]int64{id})
 		if err != nil {
 			return 0, nil, fmt.Errorf("get %d: %w", id, err)
 		}
-		if g.ID != id {
-			return 0, nil, fmt.Errorf("get %d returned sample %d", id, g.ID)
+		if gs[0].ID != id {
+			return 0, nil, fmt.Errorf("get %d returned sample %d", id, gs[0].ID)
 		}
 	}
 	rate := float64(gets) / time.Since(start).Seconds()

@@ -55,7 +55,7 @@ func TestTwoSidedTimedLatencies(t *testing.T) {
 			return err
 		}
 		defer s.Close()
-		_, lat, err := s.LoadTimed([]int64{0, 8, 15, 3})
+		_, lat, err := loadTimed(s, []int64{0, 8, 15, 3})
 		if err != nil {
 			return err
 		}
@@ -132,7 +132,7 @@ func TestNonBlockingLoadsCorrectSamples(t *testing.T) {
 		for i := range ids {
 			ids[i] = int64(i)
 		}
-		got, lat, err := s.LoadTimed(ids)
+		got, lat, err := loadTimed(s, ids)
 		if err != nil {
 			return err
 		}

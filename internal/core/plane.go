@@ -8,6 +8,7 @@ import (
 	"ddstore/internal/comm"
 	"ddstore/internal/fetch"
 	"ddstore/internal/graph"
+	"ddstore/internal/obs/tracectx"
 )
 
 // storePlane adapts the Store to the shared fetch engine: owner arithmetic
@@ -49,7 +50,9 @@ func (p storePlane) EndEpoch(owner int) error {
 	return s.unlockSharedRef(owner)
 }
 
-func (p storePlane) FetchOwner(owner int, ids []int64, deliver fetch.Deliver) error {
+// FetchOwner ignores the trace context: the RMA plane has no wire to
+// carry it over.
+func (p storePlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliver fetch.Deliver) error {
 	s := p.s
 	if owner == s.group.Rank() {
 		return s.fetchLocal(ids, deliver)

@@ -17,7 +17,7 @@
 //
 // The four architecture components of paper §3.2 map to: the preloader
 // (Open reading a SampleSource), the data registry (the replica-group-wide
-// sample index built by Allgather), the data loader (Load / LoadTimed), and
+// sample index built by Allgather), the data loader (LoadLazy / Load), and
 // the one-sided communication layer (internal/comm's RMA windows).
 package core
 
@@ -31,6 +31,7 @@ import (
 	"ddstore/internal/fetch"
 	"ddstore/internal/graph"
 	"ddstore/internal/obs"
+	"ddstore/internal/obs/tracectx"
 	"ddstore/internal/shardmap"
 	"ddstore/internal/trace"
 	"ddstore/internal/transport"
@@ -460,48 +461,23 @@ func (s *Store) OwnerOf(id int64) (int, error) {
 // plane can advance it from there.
 func (s *Store) ShardMap() *shardmap.Store { return s.maps }
 
-// Load fetches the given sample ids (a shuffled batch) and returns the
-// decoded graphs in the same order. Local ids are served from this rank's
-// memory; remote ids are fetched from their owners with one-sided Gets,
-// grouping ids by owner so each owner's window lock is acquired once. The
-// whole pipeline — dedup, cache claims, per-owner fan-out, coalesced-fetch
-// waits — runs in the shared engine (internal/fetch).
-func (s *Store) Load(ids []int64) ([]*graph.Graph, error) {
-	out, _, err := s.load(ids, false)
-	return out, err
-}
-
-// LoadTimed is Load plus the per-sample virtual-time cost, for the latency
-// CDF experiments. The owner-lock cost lands on the first sample fetched
-// from that owner, mirroring how a real per-batch lock amortizes.
-func (s *Store) LoadTimed(ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	return s.load(ids, true)
-}
-
-func (s *Store) load(ids []int64, timed bool) ([]*graph.Graph, []time.Duration, error) {
-	start := clockNow(s.world)
-	out, lat, err := s.engine.Load(ids)
-	if err != nil {
-		return nil, nil, err
-	}
-	if s.prof != nil && s.opts.Framework == FrameworkRMA {
-		s.prof.Add(trace.RegionRMA, clockNow(s.world)-start)
-	}
-	if !timed {
-		lat = nil
-	}
-	return out, lat, nil
-}
-
-// LoadLazy is LoadTimed without tensor materialization: each sample comes
-// back as a header-validated graph.Lazy view over its wire buffer, and the
-// float/int tensors are built only if the caller asks for the Graph. A
-// consumer that just re-encodes (a prefetch stash, a proxy) never pays the
-// decode. The caller owns the returned views and must either materialize
-// (Graph releases the buffer reference) or Release each one.
+// LoadLazy fetches the given sample ids (a shuffled batch) and returns
+// them in the same order as header-validated graph.Lazy views over their
+// wire buffers, with each sample's load cost (virtual time under a machine
+// model). Local ids are served from this rank's memory; remote ids are
+// fetched from their owners with one-sided Gets, grouping ids by owner so
+// each owner's window lock is acquired once — its cost lands on the first
+// sample fetched from that owner, mirroring how a real per-batch lock
+// amortizes. The whole pipeline — dedup, cache claims, per-owner fan-out,
+// coalesced-fetch waits — runs in the shared engine (internal/fetch).
+//
+// The float/int tensors are built only if the caller asks for the Graph:
+// a consumer that just re-encodes (a prefetch stash, a proxy) never pays
+// the decode. The caller owns the returned views and must either
+// materialize (Graph releases the buffer reference) or Release each one.
 func (s *Store) LoadLazy(ids []int64) ([]*graph.Lazy, []time.Duration, error) {
 	start := clockNow(s.world)
-	out, lat, err := s.engine.LoadLazy(ids)
+	out, lat, err := s.engine.LoadLazy(ids, tracectx.Context{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -509,6 +485,16 @@ func (s *Store) LoadLazy(ids []int64) ([]*graph.Lazy, []time.Duration, error) {
 		s.prof.Add(trace.RegionRMA, clockNow(s.world)-start)
 	}
 	return out, lat, nil
+}
+
+// Load is LoadLazy with every view materialized (graph.Materialize):
+// duplicate ids share one graph pointer.
+func (s *Store) Load(ids []int64) ([]*graph.Graph, error) {
+	lzs, _, err := s.LoadLazy(ids)
+	if err != nil {
+		return nil, err
+	}
+	return graph.Materialize(lzs), nil
 }
 
 // Fence synchronizes all ranks of the replica group between access epochs.

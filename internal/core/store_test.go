@@ -10,10 +10,21 @@ import (
 	"ddstore/internal/cluster"
 	"ddstore/internal/comm"
 	"ddstore/internal/datasets"
+	"ddstore/internal/graph"
 	"ddstore/internal/trace"
 	"ddstore/internal/transport"
 	"ddstore/internal/vtime"
 )
+
+// loadTimed is Load plus the per-sample latencies: LoadLazy, then
+// graph.Materialize, as ddp.PlaneLoader.LoadBatch does it.
+func loadTimed(s *Store, ids []int64) ([]*graph.Graph, []time.Duration, error) {
+	lzs, lat, err := s.LoadLazy(ids)
+	if err != nil {
+		return nil, nil, err
+	}
+	return graph.Materialize(lzs), lat, nil
+}
 
 func runWorld(t *testing.T, n int, machine *cluster.Machine, fn func(c *comm.Comm) error) {
 	t.Helper()
@@ -338,7 +349,7 @@ func TestLoadTimedLatencies(t *testing.T) {
 		for i := range ids {
 			ids[i] = int64(i)
 		}
-		got, lat, err := s.LoadTimed(ids)
+		got, lat, err := loadTimed(s, ids)
 		if err != nil {
 			return err
 		}
@@ -370,7 +381,7 @@ func TestSmallWidthReducesLatency(t *testing.T) {
 			for i := range ids {
 				ids[i] = int64(rng.Intn(512))
 			}
-			_, lat, err := s.LoadTimed(ids)
+			_, lat, err := loadTimed(s, ids)
 			if err != nil {
 				return err
 			}
@@ -664,10 +675,11 @@ func TestDialGroupFailsOver(t *testing.T) {
 
 	verify := func(pass string) {
 		for id := int64(0); id < 24; id++ {
-			g, err := grp.Get(id)
+			gs, err := grp.Load([]int64{id})
 			if err != nil {
 				t.Fatalf("%s: sample %d: %v", pass, id, err)
 			}
+			g := gs[0]
 			if g.ID != id {
 				t.Fatalf("%s: sample %d returned %d", pass, id, g.ID)
 			}

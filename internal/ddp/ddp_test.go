@@ -403,6 +403,63 @@ func TestTrainLossIdenticalAcrossRanks(t *testing.T) {
 	}
 }
 
+// TestPlaneLoaderTraceOverStoreLoadsUntraced: Trace only applies to planes
+// that can carry a trace context (TracedDataPlane). Over the in-process
+// RMA store the loader loads untraced — same graphs, no root span, no
+// trace ids on the engine's fetch spans — and without error.
+func TestPlaneLoaderTraceOverStoreLoadsUntraced(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 24})
+	w, err := comm.NewWorld(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(c *comm.Comm) error {
+		ring := obs.NewSpanRing(64, 0)
+		st, err := core.Open(c, ds, core.Options{Spans: ring})
+		if err != nil {
+			return err
+		}
+		defer st.Close()
+		if _, ok := any(st).(TracedDataPlane); ok {
+			return fmt.Errorf("core.Store unexpectedly implements TracedDataPlane")
+		}
+		loader := &PlaneLoader{Plane: st, Trace: true, Spans: ring}
+		ids := []int64{1, 20, 1, 7, 15}
+		gs, lats, err := loader.LoadBatch(ids)
+		if err != nil {
+			return err
+		}
+		if len(gs) != len(ids) || len(lats) != len(ids) {
+			return fmt.Errorf("got %d graphs, %d latencies for %d ids", len(gs), len(lats), len(ids))
+		}
+		for i, g := range gs {
+			want, _ := ds.Sample(ids[i])
+			if g.ID != ids[i] || g.NumNodes != want.NumNodes || g.Y[0] != want.Y[0] {
+				return fmt.Errorf("position %d: got sample %d, want %d", i, g.ID, ids[i])
+			}
+		}
+		if gs[0] != gs[2] {
+			return fmt.Errorf("duplicate ids did not share one graph")
+		}
+		fetched := 0
+		for _, s := range ring.Spans() {
+			if s.Name == "load-batch" || s.TraceID != 0 {
+				return fmt.Errorf("untraced plane recorded traced span %+v", s)
+			}
+			if s.Name == "fetch-owner" {
+				fetched++
+			}
+		}
+		if fetched == 0 {
+			return fmt.Errorf("no fetch-owner spans recorded")
+		}
+		return c.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	w, err := comm.NewWorld(1, 1)
 	if err != nil {

@@ -21,13 +21,12 @@ type Loader interface {
 
 // DataPlane is the batch-loading surface both DDStore planes expose: the
 // in-process RMA store (core.Store) and the TCP client group
-// (transport.Group) satisfy it identically, because both route Load
-// through the shared fetch engine (internal/fetch). LoadLazy is the
-// zero-copy variant: header-validated views over the pooled wire buffers,
-// with tensor decode deferred to first touch.
+// (transport.Group) satisfy it identically, because both route LoadLazy
+// through the shared fetch engine (internal/fetch): header-validated
+// views over the pooled wire buffers, with tensor decode deferred to
+// first touch.
 type DataPlane interface {
 	Len() int
-	LoadTimed(ids []int64) ([]*graph.Graph, []time.Duration, error)
 	LoadLazy(ids []int64) ([]*graph.Lazy, []time.Duration, error)
 	CacheStats() cache.Stats
 	LatencyStats() fetch.LatencySummary
@@ -45,10 +44,10 @@ type TracedDataPlane interface {
 // planes.
 type PlaneLoader struct {
 	Plane DataPlane
-	// Trace opens a sampled root trace per lazy batch when the plane
-	// supports traced loads: every per-owner wire request propagates a
-	// child context to the servers, whose timing trailers come back as
-	// nested "server" spans.
+	// Trace opens a sampled root trace per batch when the plane supports
+	// traced loads (a TracedDataPlane; other planes load untraced): every
+	// per-owner wire request propagates a child context to the servers,
+	// whose timing trailers come back as nested "server" spans.
 	Trace bool
 	// Spans, when non-nil with Trace set, receives one client-side root
 	// span per traced batch ("load-batch", category "train"), the parent of
@@ -59,32 +58,32 @@ type PlaneLoader struct {
 // Len returns the dataset size.
 func (l *PlaneLoader) Len() int { return l.Plane.Len() }
 
-// LoadBatch implements Loader via the plane's timed loader.
+// LoadBatch implements Loader: one lazy load — traced when Trace is set
+// and the plane is a TracedDataPlane — then graph.Materialize, so
+// duplicate ids share one graph pointer and the buffer references go back
+// to the arena as each sample is decoded.
 func (l *PlaneLoader) LoadBatch(ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	return l.Plane.LoadTimed(ids)
-}
-
-// LoadBatchLazy returns the batch as lazy views instead of materialized
-// graphs, threading buffer ownership straight from the wire to the caller
-// — no copy at the loader seam. The caller must consume each view exactly
-// once: Graph() to materialize (which releases the underlying buffer
-// reference) or Release() to drop it.
-func (l *PlaneLoader) LoadBatchLazy(ids []int64) ([]*graph.Lazy, []time.Duration, error) {
-	tp, ok := l.Plane.(TracedDataPlane)
-	if !l.Trace || !ok {
-		return l.Plane.LoadLazy(ids)
+	var lzs []*graph.Lazy
+	var lat []time.Duration
+	var err error
+	if tp, ok := l.Plane.(TracedDataPlane); l.Trace && ok {
+		tc := tracectx.New(true)
+		start := obs.EpochNow()
+		lzs, lat, err = tp.LoadLazyTraced(ids, tc)
+		if l.Spans != nil {
+			l.Spans.Record(obs.Span{
+				Name: "load-batch", Cat: "train", Owner: -1, Samples: len(ids),
+				Start: start, Dur: obs.EpochNow() - start,
+				TraceID: tc.TraceID, SpanID: tc.SpanID,
+			})
+		}
+	} else {
+		lzs, lat, err = l.Plane.LoadLazy(ids)
 	}
-	tc := tracectx.New(true)
-	start := obs.EpochNow()
-	out, lat, err := tp.LoadLazyTraced(ids, tc)
-	if l.Spans != nil {
-		l.Spans.Record(obs.Span{
-			Name: "load-batch", Cat: "train", Owner: -1, Samples: len(ids),
-			Start: start, Dur: obs.EpochNow() - start,
-			TraceID: tc.TraceID, SpanID: tc.SpanID,
-		})
+	if err != nil {
+		return nil, nil, err
 	}
-	return out, lat, err
+	return graph.Materialize(lzs), lat, nil
 }
 
 // CacheStats reports the plane's sample-cache counters — the zero Stats

@@ -94,10 +94,11 @@ func TestGroupSurvivesChaos(t *testing.T) {
 
 			verifyAll := func(pass string) {
 				for id := int64(0); id < 40; id++ {
-					g, err := grp.Get(id)
+					gs, err := grp.Load([]int64{id})
 					if err != nil {
 						t.Fatalf("%s: sample %d: %v", pass, id, err)
 					}
+					g := gs[0]
 					want, _ := ds.Sample(id)
 					if g.ID != id || g.NumNodes != want.NumNodes || g.Y[0] != want.Y[0] {
 						t.Fatalf("%s: sample %d corrupted end to end", pass, id)

@@ -30,6 +30,12 @@ type confPlane struct {
 	localLo, localHi int64
 }
 
+// load is the training loader's path over the plane: LoadLazy, then
+// graph.Materialize (ddp.PlaneLoader.LoadBatch).
+func (p confPlane) load(ids []int64) ([]*graph.Graph, []time.Duration, error) {
+	return (&ddp.PlaneLoader{Plane: p.plane}).LoadBatch(ids)
+}
+
 func (p confPlane) localCount() int64 { return p.localHi - p.localLo }
 
 // remoteID returns an id that is not local, so it exercises the cache.
@@ -87,7 +93,7 @@ func loadWithin(t *testing.T, p confPlane, ids []int64, d time.Duration) ([]*gra
 	}
 	ch := make(chan res, 1)
 	go func() {
-		out, lats, err := p.plane.LoadTimed(ids)
+		out, lats, err := p.load(ids)
 		ch <- res{out, lats, err}
 	}()
 	select {
@@ -105,7 +111,7 @@ func runConformance(t *testing.T, p confPlane) {
 
 	// Scenario: duplicate ids share one fetch and one graph pointer.
 	ids := []int64{5, 1, 5, 3, 1, 5}
-	out, lats, err := p.plane.LoadTimed(ids)
+	out, lats, err := p.load(ids)
 	if err != nil {
 		t.Fatalf("%s: dup-id load: %v", p.name, err)
 	}
@@ -116,10 +122,10 @@ func runConformance(t *testing.T, p confPlane) {
 
 	// Scenario: an out-of-range id fails the whole batch, cleanly. The
 	// retry proves no flight was stranded by the failure.
-	if _, _, err := p.plane.LoadTimed([]int64{1, n + 100}); err == nil {
+	if _, _, err := p.load([]int64{1, n + 100}); err == nil {
 		t.Fatalf("%s: out-of-range id accepted", p.name)
 	}
-	if _, _, err := p.plane.LoadTimed([]int64{-1}); err == nil {
+	if _, _, err := p.load([]int64{-1}); err == nil {
 		t.Fatalf("%s: negative id accepted", p.name)
 	}
 	out, lats, err = loadWithin(t, p, []int64{1}, 5*time.Second)
@@ -135,11 +141,11 @@ func runConformance(t *testing.T, p confPlane) {
 	for i := range all {
 		all[i] = int64(i)
 	}
-	if _, _, err := p.plane.LoadTimed(all); err != nil {
+	if _, _, err := p.load(all); err != nil {
 		t.Fatalf("%s: warm load: %v", p.name, err)
 	}
 	before := p.plane.CacheStats()
-	out, lats, err = p.plane.LoadTimed(all)
+	out, lats, err = p.load(all)
 	if err != nil {
 		t.Fatalf("%s: cached load: %v", p.name, err)
 	}
@@ -175,7 +181,7 @@ func runConformance(t *testing.T, p confPlane) {
 					(seed*3 + i*7) % n,
 					(seed + i) % n, // duplicate on purpose
 				}
-				out, lats, err := p.plane.LoadTimed(batch)
+				out, lats, err := p.load(batch)
 				if err != nil {
 					t.Errorf("%s: hammer: %v", p.name, err)
 					return
@@ -283,7 +289,7 @@ func TestConformanceTCPOwnerDeath(t *testing.T) {
 	p := confPlane{name: "tcp-owner-death", ds: ds, plane: grp}
 
 	// Sanity before the kill.
-	out, lats, err := p.plane.LoadTimed([]int64{2, 9, 17})
+	out, lats, err := p.load([]int64{2, 9, 17})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ddstore/internal/graph"
+	"ddstore/internal/obs/tracectx"
 )
 
 // genPlane serves ids [0, n) striped over members (member = id % members),
@@ -67,7 +68,7 @@ func (p *genPlane) takeGate() chan error {
 	return g
 }
 
-func (p *genPlane) FetchOwner(owner int, ids []int64, deliver Deliver) error {
+func (p *genPlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliver Deliver) error {
 	if p.entered != nil {
 		select {
 		case p.entered <- struct{}{}:
@@ -113,7 +114,7 @@ func (p *genPlane) tokenCount() int {
 // id (the poison detector: a wrong cache mapping would surface here).
 func loadAndCheck(t *testing.T, e *Engine, ids []int64) {
 	t.Helper()
-	out, _, err := e.Load(ids)
+	out, _, err := load(e, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +196,12 @@ func TestOwnerChangeFailureFailsFlightsPromptly(t *testing.T) {
 
 	errs := make(chan error, 2)
 	go func() {
-		_, _, err := e.Load([]int64{3})
+		_, _, err := load(e, []int64{3})
 		errs <- err
 	}()
 	<-p.entered // leader is inside FetchOwner; its flight is claimed
 	go func() {
-		_, _, err := e.Load([]int64{3})
+		_, _, err := load(e, []int64{3})
 		errs <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the second load claim (follower)

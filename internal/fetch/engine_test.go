@@ -12,6 +12,7 @@ import (
 	"ddstore/internal/cache"
 	"ddstore/internal/graph"
 	"ddstore/internal/obs"
+	"ddstore/internal/obs/tracectx"
 )
 
 // testGraph builds a tiny valid graph for sample id.
@@ -71,7 +72,7 @@ func (p *mockPlane) OwnerOf(id int64) (int, error) {
 
 func (p *mockPlane) Local(owner int) bool { return owner == p.local }
 
-func (p *mockPlane) FetchOwner(owner int, ids []int64, deliver Deliver) error {
+func (p *mockPlane) FetchOwner(owner int, ids []int64, _ tracectx.Context, deliver Deliver) error {
 	fly := atomic.AddInt32(&p.inFlight, 1)
 	for {
 		max := atomic.LoadInt32(&p.maxFly)
@@ -147,6 +148,16 @@ func (p *epochMock) EndEpoch(owner int) error {
 	return nil
 }
 
+// load is an untraced LoadLazy materialized the way every graph-returning
+// caller does it (graph.Materialize).
+func load(e *Engine, ids []int64) ([]*graph.Graph, []time.Duration, error) {
+	lzs, lats, err := e.LoadLazy(ids, tracectx.Context{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return graph.Materialize(lzs), lats, nil
+}
+
 func newCache(budget int64) *cache.Cache {
 	return cache.New(cache.Options{MaxBytes: budget, Shards: 1})
 }
@@ -155,7 +166,7 @@ func TestLoadDedupAndAssembly(t *testing.T) {
 	p := newMockPlane(20, 3)
 	e := New(Config{Plane: p})
 	ids := []int64{7, 3, 7, 11, 3, 7, 0}
-	out, lats, err := e.Load(ids)
+	out, lats, err := load(e, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +190,7 @@ func TestLoadDedupAndAssembly(t *testing.T) {
 
 func TestEmptyBatch(t *testing.T) {
 	e := New(Config{Plane: newMockPlane(4, 2)})
-	out, lats, err := e.Load(nil)
+	out, lats, err := load(e, nil)
 	if err != nil || len(out) != 0 || len(lats) != 0 {
 		t.Fatalf("empty batch: out=%v lats=%v err=%v", out, lats, err)
 	}
@@ -191,14 +202,14 @@ func TestOutOfRangeIDFailsBeforeAnyClaim(t *testing.T) {
 	e := New(Config{Plane: p, Cache: c})
 	// The invalid id comes last, after ids that would otherwise claim
 	// flights; validation must reject the batch before any claim happens.
-	if _, _, err := e.Load([]int64{1, 2, 99}); err == nil {
+	if _, _, err := load(e, []int64{1, 2, 99}); err == nil {
 		t.Fatal("out-of-range id accepted")
 	}
 	if p.fetchCount(1) != 0 {
 		t.Error("fetch ran despite validation failure")
 	}
 	// No flight may be stranded: a fresh claim on id 1 must lead.
-	_, f := c.Claim(1)
+	_, _, f := c.ClaimRef(1)
 	if f == nil || !f.Leader() {
 		t.Fatal("claim after failed validation did not lead — a flight leaked")
 	}
@@ -209,10 +220,10 @@ func TestCacheHitsSkipTheWire(t *testing.T) {
 	p := newMockPlane(10, 2)
 	c := newCache(1 << 20)
 	e := New(Config{Plane: p, Cache: c})
-	if _, _, err := e.Load([]int64{1, 2, 3}); err != nil {
+	if _, _, err := load(e, []int64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Load([]int64{1, 2, 3}); err != nil {
+	if _, _, err := load(e, []int64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range []int64{1, 2, 3} {
@@ -229,10 +240,10 @@ func TestCacheHitsSkipTheWire(t *testing.T) {
 func TestNilCacheSkipsClaimMachinery(t *testing.T) {
 	p := newMockPlane(10, 2)
 	e := New(Config{Plane: p})
-	if _, _, err := e.Load([]int64{1, 2}); err != nil {
+	if _, _, err := load(e, []int64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Load([]int64{1, 2}); err != nil {
+	if _, _, err := load(e, []int64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
@@ -260,7 +271,7 @@ func TestLocalOwnersBypassCache(t *testing.T) {
 	c := newCache(1 << 20)
 	e := New(Config{Plane: p, Cache: c})
 	for i := 0; i < 2; i++ {
-		if _, _, err := e.Load([]int64{2, 3}); err != nil {
+		if _, _, err := load(e, []int64{2, 3}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,7 +293,7 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, _, err := e.Load([]int64{5})
+			out, _, err := load(e, []int64{5})
 			if err != nil {
 				t.Error(err)
 				return
@@ -327,14 +338,14 @@ func TestLeaderFailureReleasesFollowers(t *testing.T) {
 
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := e.Load([]int64{5})
+		_, _, err := load(e, []int64{5})
 		leaderErr <- err
 	}()
 	<-entered // leader owns the flight and is inside FetchOwner
 
 	followerErr := make(chan error, 1)
 	go func() {
-		_, _, err := e.Load([]int64{5})
+		_, _, err := load(e, []int64{5})
 		followerErr <- err
 	}()
 
@@ -356,7 +367,7 @@ func TestLeaderFailureReleasesFollowers(t *testing.T) {
 
 	// The failed flight must not linger: a retry leads a fresh fetch.
 	failing.Store(false)
-	out, _, err := e.Load([]int64{5})
+	out, _, err := load(e, []int64{5})
 	if err != nil {
 		t.Fatalf("retry after leader failure: %v", err)
 	}
@@ -377,19 +388,22 @@ func TestPartialDeliveryFailsFlights(t *testing.T) {
 	}
 	c := newCache(1 << 20)
 	e := New(Config{Plane: p, Cache: c})
-	if _, _, err := e.Load([]int64{2, 3}); err == nil {
+	if _, _, err := load(e, []int64{2, 3}); err == nil {
 		t.Fatal("load with a dead owner succeeded")
 	}
 	// Both ids must be claimable again as leaders (delivered id 2's flight
 	// completed; failed id 3's flight was failed, not leaked).
 	for _, id := range []int64{2, 3} {
-		val, f := c.Claim(id)
+		val, ref, f := c.ClaimRef(id)
 		if f == nil {
 			if id != 2 {
 				t.Fatalf("sample %d resolved from cache after a failed load", id)
 			}
 			if _, err := graph.Decode(val); err != nil {
 				t.Fatalf("cached bytes for %d corrupt: %v", id, err)
+			}
+			if ref != nil {
+				ref.Release()
 			}
 			continue
 		}
@@ -404,7 +418,7 @@ func TestUndeliveredSampleIsAnError(t *testing.T) {
 	p := newMockPlane(10, 1)
 	silent := silentPlane{p}
 	e := New(Config{Plane: silent, ErrPrefix: "mock"})
-	_, _, err := e.Load([]int64{4})
+	_, _, err := load(e, []int64{4})
 	if err == nil || !strings.Contains(err.Error(), "was not delivered") {
 		t.Fatalf("err = %v, want 'was not delivered'", err)
 	}
@@ -413,7 +427,7 @@ func TestUndeliveredSampleIsAnError(t *testing.T) {
 // silentPlane claims success without delivering anything.
 type silentPlane struct{ *mockPlane }
 
-func (p silentPlane) FetchOwner(int, []int64, Deliver) error { return nil }
+func (p silentPlane) FetchOwner(int, []int64, tracectx.Context, Deliver) error { return nil }
 
 func TestEpochBracketing(t *testing.T) {
 	base := newMockPlane(12, 3)
@@ -424,7 +438,7 @@ func TestEpochBracketing(t *testing.T) {
 		Serial: true,
 		Now:    func() time.Duration { return time.Duration(now.Load()) },
 	})
-	_, lats, err := e.Load([]int64{0, 1, 2, 3, 4, 5})
+	_, lats, err := load(e, []int64{0, 1, 2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +472,7 @@ func TestEpochEndsEvenWhenFetchFails(t *testing.T) {
 	}
 	ep := &epochMock{mockPlane: base}
 	e := New(Config{Plane: ep, Serial: true})
-	if _, _, err := e.Load([]int64{0, 1, 2}); err == nil {
+	if _, _, err := load(e, []int64{0, 1, 2}); err == nil {
 		t.Fatal("load with failing owner succeeded")
 	}
 	ep.mu.Lock()
@@ -472,7 +486,7 @@ func TestBeginEpochErrorAborts(t *testing.T) {
 	base := newMockPlane(12, 2)
 	ep := &epochMock{mockPlane: base, beginErr: errors.New("lock refused")}
 	e := New(Config{Plane: ep, Serial: true})
-	if _, _, err := e.Load([]int64{0, 1}); err == nil || !strings.Contains(err.Error(), "lock refused") {
+	if _, _, err := load(e, []int64{0, 1}); err == nil || !strings.Contains(err.Error(), "lock refused") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -481,7 +495,7 @@ func TestSerialNeverOverlapsOwners(t *testing.T) {
 	p := newMockPlane(16, 4)
 	p.delay = 5 * time.Millisecond
 	e := New(Config{Plane: p, Serial: true, Parallelism: 4})
-	if _, _, err := e.Load([]int64{0, 1, 2, 3}); err != nil {
+	if _, _, err := load(e, []int64{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if max := atomic.LoadInt32(&p.maxFly); max != 1 {
@@ -493,7 +507,7 @@ func TestParallelismBoundsFanOut(t *testing.T) {
 	p := newMockPlane(16, 4)
 	p.delay = 20 * time.Millisecond
 	e := New(Config{Plane: p, Parallelism: 2})
-	if _, _, err := e.Load([]int64{0, 1, 2, 3}); err != nil {
+	if _, _, err := load(e, []int64{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if max := atomic.LoadInt32(&p.maxFly); max > 2 {
@@ -512,7 +526,7 @@ func TestLowestOwnerErrorWins(t *testing.T) {
 		return nil
 	}
 	e := New(Config{Plane: p, Parallelism: 4})
-	_, _, err := e.Load([]int64{0, 1, 2, 3})
+	_, _, err := load(e, []int64{0, 1, 2, 3})
 	if err == nil || !strings.Contains(err.Error(), "owner 2 down") {
 		t.Fatalf("err = %v, want the lowest failing owner's error", err)
 	}
@@ -529,7 +543,7 @@ func TestLatencyWindowAndPercentiles(t *testing.T) {
 	// 16 unique samples: the window keeps the last 8 (ids 8..15, whose mock
 	// latencies are 8..15µs).
 	for id := int64(0); id < 16; id++ {
-		if _, _, err := e.Load([]int64{id}); err != nil {
+		if _, _, err := load(e, []int64{id}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -569,7 +583,7 @@ func TestCacheEntryRetainsDeliveredBuffer(t *testing.T) {
 	p := newMockPlane(10, 2)
 	c := newCache(1 << 20)
 	e := New(Config{Plane: p, Cache: c})
-	if _, _, err := e.Load([]int64{1}); err != nil {
+	if _, _, err := load(e, []int64{1}); err != nil {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
@@ -602,7 +616,7 @@ func TestFollowerReceivesOwnReference(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := e.Load([]int64{5}); err != nil {
+			if _, _, err := load(e, []int64{5}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -644,7 +658,7 @@ func TestConcurrentHammer(t *testing.T) {
 					(seed + int64(i)*7) % 64,
 					(seed + int64(i)) % 64, // duplicate on purpose
 				}
-				out, lats, err := e.Load(ids)
+				out, lats, err := load(e, ids)
 				if err != nil {
 					t.Error(err)
 					return
@@ -671,11 +685,11 @@ func TestEngineMetricsAndSpans(t *testing.T) {
 	e := New(Config{Plane: p, Cache: c, Metrics: reg, Spans: ring})
 
 	ids := []int64{0, 1, 2, 3}
-	if _, _, err := e.Load(ids); err != nil {
+	if _, _, err := load(e, ids); err != nil {
 		t.Fatal(err)
 	}
 	// Second load of the same ids: all cache hits.
-	if _, _, err := e.Load(ids); err != nil {
+	if _, _, err := load(e, ids); err != nil {
 		t.Fatal(err)
 	}
 

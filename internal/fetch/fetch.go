@@ -63,8 +63,12 @@ type Plane interface {
 	// memory. Local ids bypass the cache — they are already memory reads.
 	Local(owner int) bool
 	// FetchOwner transfers the given ids from one owner, calling deliver
-	// once per id with header-validated bytes.
-	FetchOwner(owner int, ids []int64, deliver Deliver) error
+	// once per id with header-validated bytes. tc is the child trace
+	// context the engine minted for this owner's sub-request — the span id
+	// a wire plane propagates so the server's segments nest under it. The
+	// zero context means the load is untraced; planes with no wire to
+	// propagate it over ignore it.
+	FetchOwner(owner int, ids []int64, tc tracectx.Context, deliver Deliver) error
 }
 
 // EpochPlane is the optional lock hook: when a plane implements it, the
@@ -79,19 +83,6 @@ type EpochPlane interface {
 	BeginEpoch(owner int) (time.Duration, error)
 	// EndEpoch closes the epoch opened by BeginEpoch.
 	EndEpoch(owner int) error
-}
-
-// TracedPlane is the optional distributed-tracing hook: when a plane
-// implements it and a load carries a valid trace context, the engine mints
-// a child context per owner fan-out and hands it to FetchOwnerTraced, so
-// the plane can propagate it over the wire and merge the server's timing
-// feedback into the span tree. Planes without the hook (or loads without a
-// context) use plain FetchOwner and tracing stays off.
-type TracedPlane interface {
-	Plane
-	// FetchOwnerTraced is FetchOwner carrying the child trace context the
-	// engine minted for this owner's sub-request.
-	FetchOwnerTraced(owner int, ids []int64, tc tracectx.Context, deliver Deliver) error
 }
 
 // Config assembles an Engine.
@@ -142,8 +133,7 @@ type LatencySummary struct {
 // concurrent Loads.
 type Engine struct {
 	plane   Plane
-	epochs  EpochPlane  // nil when the plane has no lock hooks
-	traced  TracedPlane // nil when the plane has no tracing hook
+	epochs  EpochPlane // nil when the plane has no lock hooks
 	cache   *cache.Cache
 	par     int
 	serial  bool
@@ -182,9 +172,6 @@ func New(cfg Config) *Engine {
 	}
 	if ep, ok := cfg.Plane.(EpochPlane); ok {
 		e.epochs = ep
-	}
-	if tp, ok := cfg.Plane.(TracedPlane); ok {
-		e.traced = tp
 	}
 	if e.now == nil {
 		// Real-time engines record on the shared wall-clock epoch, so span
@@ -267,58 +254,20 @@ func (r *results) releaseAll() {
 	r.mu.Unlock()
 }
 
-// Load runs the pipeline for one batch and returns the decoded graphs and
-// per-position latencies, both in request order. Duplicate ids share one
-// fetch (and one graph pointer).
-func (e *Engine) Load(ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	lzs, lats, err := e.LoadLazy(ids)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]*graph.Graph, len(lzs))
-	var seen map[int64]*graph.Graph
-	for i, lz := range lzs {
-		if lz == nil {
-			continue
-		}
-		// Duplicate positions carry independent views over one buffer;
-		// materialize once per id so duplicates share a graph pointer (and
-		// the extra views just drop their references).
-		if g, ok := seen[lz.ID()]; ok {
-			out[i] = g
-			lz.Release()
-			continue
-		}
-		out[i] = lz.Graph()
-		if seen == nil {
-			seen = make(map[int64]*graph.Graph, len(lzs))
-		}
-		seen[lz.ID()] = out[i]
-	}
-	return out, lats, nil
-}
-
 // LoadLazy runs the pipeline for one batch and returns header-validated
 // lazy graphs and per-position latencies, both in request order. Tensors
-// are not materialized: each Lazy decodes on first Graph call, and a
-// caller that never touches a sample's tensors releases its buffer with
-// Release instead. Duplicate ids share one fetch, but every position gets
-// its own independent view (each holding its own buffer reference), so
-// callers consume strictly by position.
-func (e *Engine) LoadLazy(ids []int64) ([]*graph.Lazy, []time.Duration, error) {
-	return e.loadLazy(ids, tracectx.Context{})
-}
-
-// LoadLazyTraced is LoadLazy under a distributed trace: tc is the caller's
-// span (the batch's root, or an intermediate), and when the plane
-// implements TracedPlane every per-owner fan-out propagates a child
-// context minted from it. With an invalid context this is exactly
-// LoadLazy.
-func (e *Engine) LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
-	return e.loadLazy(ids, tc)
-}
-
-func (e *Engine) loadLazy(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
+// are not materialized: each Lazy decodes on first Graph call (or the
+// whole batch through graph.Materialize), and a caller that never touches
+// a sample's tensors releases its buffer with Release instead. Duplicate
+// ids share one fetch, but every position gets its own independent view
+// (each holding its own buffer reference), so callers consume strictly by
+// position.
+//
+// tc is the caller's trace span (a batch root, or an intermediate): when
+// it is valid, every per-owner fan-out gets a child context minted from
+// it and hands that to the plane's FetchOwner. The zero context means
+// untraced.
+func (e *Engine) LoadLazy(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
 	out := make([]*graph.Lazy, len(ids))
 	lats := make([]time.Duration, len(ids))
 	if len(ids) == 0 {
@@ -505,7 +454,7 @@ func (e *Engine) loadLazy(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []ti
 // — the span id the server's segments hang off in the merged trace.
 func (e *Engine) fetchOwner(owner int, ids []int64, res *results, tc tracectx.Context) error {
 	child := tracectx.Context{}
-	if tc.Valid() && e.traced != nil {
+	if tc.Valid() {
 		child = tc.Child()
 	}
 	var start time.Duration
@@ -530,12 +479,7 @@ func (e *Engine) fetchOwner(owner int, ids []int64, res *results, tc tracectx.Co
 		fetchedBytes += int64(len(raw))
 		res.deliver(id, raw, lz, lat)
 	}
-	var err error
-	if child.Valid() {
-		err = e.traced.FetchOwnerTraced(owner, ids, child, deliver)
-	} else {
-		err = e.plane.FetchOwner(owner, ids, deliver)
-	}
+	err := e.plane.FetchOwner(owner, ids, child, deliver)
 	if e.epochs != nil {
 		if uerr := e.epochs.EndEpoch(owner); uerr != nil && err == nil {
 			err = uerr

@@ -123,3 +123,28 @@ func (l *Lazy) releaseRef() {
 		l.ref = nil
 	}
 }
+
+// Materialize decodes a batch of lazy views in position order. Views of
+// the same sample id materialize once: duplicate positions share one
+// *Graph, and the extra views just drop their buffer references. Nil
+// positions stay nil.
+func Materialize(lzs []*Lazy) []*Graph {
+	out := make([]*Graph, len(lzs))
+	var seen map[int64]*Graph
+	for i, lz := range lzs {
+		if lz == nil {
+			continue
+		}
+		if g, ok := seen[lz.ID()]; ok {
+			out[i] = g
+			lz.Release()
+			continue
+		}
+		out[i] = lz.Graph()
+		if seen == nil {
+			seen = make(map[int64]*Graph, len(lzs))
+		}
+		seen[lz.ID()] = out[i]
+	}
+	return out
+}

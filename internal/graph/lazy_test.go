@@ -195,3 +195,47 @@ func TestDecodeLazyAllocs(t *testing.T) {
 		t.Fatalf("DecodeLazy allocs/op = %v, want <= 1", allocs)
 	}
 }
+
+// TestMaterializeSharesDuplicates proves the batch materialize contract:
+// positions of one id share a single *Graph, every view's buffer reference
+// is released exactly once (the first by its decode, each extra view's by
+// Release), and nil positions stay nil.
+func TestMaterializeSharesDuplicates(t *testing.T) {
+	refs := map[int64]*testRef{3: {}, 8: {}}
+	enc := map[int64][]byte{3: testGraph(3).Encode(), 8: testGraph(8).Encode()}
+	ids := []int64{3, 8, 3, 3, -1, 8}
+	lzs := make([]*Lazy, len(ids))
+	for i, id := range ids {
+		if id < 0 {
+			continue
+		}
+		lz, err := DecodeLazy(enc[id], refs[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		lzs[i] = lz
+	}
+	gs := Materialize(lzs)
+	if len(gs) != len(ids) {
+		t.Fatalf("len = %d, want %d", len(gs), len(ids))
+	}
+	if gs[4] != nil {
+		t.Fatal("nil position materialized")
+	}
+	if gs[0] != gs[2] || gs[0] != gs[3] || gs[1] != gs[5] {
+		t.Fatal("duplicate positions do not share one *Graph")
+	}
+	if !graphsEqual(gs[0], testGraph(3)) || !graphsEqual(gs[1], testGraph(8)) {
+		t.Fatal("materialized wrong graph")
+	}
+	for id, n := range map[int64]int{3: 3, 8: 2} {
+		if r := refs[id]; r.releases != n || r.retains != 0 {
+			t.Fatalf("id %d: %d releases, %d retains; want %d and 0", id, r.releases, r.retains, n)
+		}
+	}
+	for i, lz := range lzs {
+		if lz != nil && lz.Ref() != nil {
+			t.Fatalf("position %d still holds its reference", i)
+		}
+	}
+}

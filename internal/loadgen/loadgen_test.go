@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ddstore/internal/bufarena"
 	"ddstore/internal/datasets"
 	"ddstore/internal/obs"
 	"ddstore/internal/serveboot"
@@ -265,6 +266,39 @@ func TestMultiServerSpread(t *testing.T) {
 		if served <= 0 {
 			t.Errorf("server %s saw no traffic", name)
 		}
+	}
+}
+
+// TestBatchMixRecyclesBuffers: an untraced batch-mix phase hands every
+// multi-get's pooled response buffer back to the arena once the sizes are
+// tallied, so a closed loop recycles at least one buffer per request
+// instead of leaving each one to the garbage collector.
+func TestBatchMixRecyclesBuffers(t *testing.T) {
+	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 100})
+	inst, err := serveboot.Boot(serveboot.Config{Source: ds, Lo: 0, Hi: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.Close()
+
+	const requests = 100
+	_, _, recycled0 := bufarena.Stats()
+	res, err := Run(context.Background(), Config{
+		Addrs: []string{inst.Addr()},
+		Seed:  11,
+		Phases: []Phase{
+			{Name: "batch", Mode: Closed, Workers: 2, MaxRequests: requests, Mix: 1, BatchSize: 8},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, recycled1 := bufarena.Stats()
+	if ph := res.Phases[0]; ph.Requests != requests || ph.Errors != 0 {
+		t.Fatalf("requests=%d errors=%d, want %d/0", ph.Requests, ph.Errors, requests)
+	}
+	if got := recycled1 - recycled0; got < requests {
+		t.Fatalf("arena recycled %d buffers over %d batch requests, want >= %d", got, requests, requests)
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"ddstore/internal/cache"
+	"ddstore/internal/graph"
+	"ddstore/internal/obs/tracectx"
 	"ddstore/internal/trace"
 )
 
@@ -20,6 +22,22 @@ func fastPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond,
 		MaxDelay: 5 * time.Millisecond, DialTimeout: time.Second,
 		ReadTimeout: time.Second, WriteTimeout: time.Second, Seed: 1}
+}
+
+// getBatch fetches ids in one untraced multi-get and decodes every part.
+func getBatch(cl *Client, ids []int64) ([]*graph.Graph, error) {
+	buf, parts, _, err := cl.GetBatchBufs(ids, tracectx.Context{})
+	if err != nil {
+		return nil, err
+	}
+	defer buf.Release()
+	out := make([]*graph.Graph, len(parts))
+	for i, p := range parts {
+		if out[i], err = graph.Decode(p); err != nil {
+			return nil, fmt.Errorf("sample %d: %w", ids[i], err)
+		}
+	}
+	return out, nil
 }
 
 // TestGetBatchRoundTrip pins the multi-get framing end to end: the client
@@ -38,7 +56,7 @@ func TestGetBatchRoundTrip(t *testing.T) {
 	defer cl.Close()
 
 	ids := []int64{27, 10, 29, 15, 15, 10}
-	gs, err := cl.GetBatch(ids)
+	gs, err := getBatch(cl, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +90,13 @@ func TestGetBatchRejectsOutOfRange(t *testing.T) {
 	}
 	defer cl.Close()
 
-	_, err = cl.GetBatch([]int64{12, 25})
+	_, err = getBatch(cl, []int64{12, 25})
 	var rerr *RemoteError
 	if !errors.As(err, &rerr) || !strings.Contains(err.Error(), "outside chunk") {
 		t.Fatalf("out-of-range batch: %v, want remote out-of-chunk error", err)
 	}
 	// Same connection, next request still works: the body was consumed.
-	gs, err := cl.GetBatch([]int64{12, 13})
+	gs, err := getBatch(cl, []int64{12, 13})
 	if err != nil || len(gs) != 2 {
 		t.Fatalf("batch after rejection: %v, %v", gs, err)
 	}

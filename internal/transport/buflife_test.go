@@ -7,6 +7,7 @@ import (
 
 	"ddstore/internal/bufarena"
 	"ddstore/internal/graph"
+	"ddstore/internal/obs/tracectx"
 )
 
 // TestGetBatchBufsAliasing pins the zero-copy contract: the returned parts
@@ -26,7 +27,7 @@ func TestGetBatchBufsAliasing(t *testing.T) {
 	defer cl.Close()
 
 	ids := []int64{3, 17, 3, 9}
-	buf, parts, err := cl.GetBatchBufs(ids)
+	buf, parts, _, err := cl.GetBatchBufs(ids, tracectx.Context{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -462,50 +462,10 @@ func (c *Client) Get(id int64) (*graph.Graph, error) {
 // paying (or perturbing the measurement with) graph materialization. The
 // returned bytes are plain GC-owned memory (the pooled buffer's reference
 // is intentionally never released, so it is never recycled under the
-// caller).
-func (c *Client) GetRaw(id int64) ([]byte, error) {
-	buf, err := c.roundTrip(opGet, id, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GetBatchBufs fetches the encoded bytes of an arbitrary id list in one
-// round trip, returning the pooled response buffer and the per-id parts
-// aliasing it. Every id must be in this server's chunk; parts is aligned
-// with ids. The caller owns the buffer's single reference and must keep
-// it (or a Retain of it) alive for as long as it reads any part, then
-// Release.
-func (c *Client) GetBatchBufs(ids []int64) (*bufarena.Buf, [][]byte, error) {
-	if len(ids) == 0 {
-		return nil, nil, nil
-	}
-	if len(ids) > maxBatchIDs {
-		return nil, nil, fmt.Errorf("transport: batch of %d ids exceeds the %d-id limit", len(ids), maxBatchIDs)
-	}
-	buf, err := c.roundTrip(opGetBatch, int64(len(ids)), 0, encodeBatchIDs(ids))
-	if err != nil {
-		return nil, nil, err
-	}
-	parts, err := decodeBatchPayload(buf.Bytes())
-	if err != nil {
-		buf.Release()
-		return nil, nil, err
-	}
-	if len(parts) != len(ids) {
-		buf.Release()
-		return nil, nil, fmt.Errorf("transport: got %d payloads for %d requested ids", len(parts), len(ids))
-	}
-	return buf, parts, nil
-}
-
-// GetRawTraced is GetRaw carrying a trace context: when tracing is
-// negotiated on the connection and tc is valid and sampled, the returned
-// timing holds the server's breakdown for this request; otherwise the
-// request runs untraced and timing is nil. The bytes follow GetRaw's
-// ownership rules.
-func (c *Client) GetRawTraced(id int64, tc tracectx.Context) ([]byte, *ServerTiming, error) {
+// caller). When tracing is negotiated on the connection and tc is valid
+// and sampled, timing holds the server's breakdown for this request;
+// otherwise the request runs untraced and timing is nil.
+func (c *Client) GetRaw(id int64, tc tracectx.Context) ([]byte, *ServerTiming, error) {
 	buf, timing, err := c.do(opGet, id, 0, nil, tc)
 	if err != nil {
 		return nil, nil, err
@@ -513,12 +473,16 @@ func (c *Client) GetRawTraced(id int64, tc tracectx.Context) ([]byte, *ServerTim
 	return buf.Bytes(), timing, nil
 }
 
-// GetBatchBufsTraced is GetBatchBufs carrying a trace context: when
-// tracing is negotiated and tc is valid and sampled, timing holds the
-// server's breakdown (queue wait, service, chunk-source time, tenant,
-// generation) for the whole batch; otherwise the request runs untraced
-// and timing is nil. Buffer ownership follows GetBatchBufs.
-func (c *Client) GetBatchBufsTraced(ids []int64, tc tracectx.Context) (*bufarena.Buf, [][]byte, *ServerTiming, error) {
+// GetBatchBufs fetches the encoded bytes of an arbitrary id list in one
+// round trip, returning the pooled response buffer and the per-id parts
+// aliasing it. Every id must be in this server's chunk; parts is aligned
+// with ids. The caller owns the buffer's single reference and must keep
+// it (or a Retain of it) alive for as long as it reads any part, then
+// Release. When tracing is negotiated and tc is valid and sampled, timing
+// holds the server's breakdown (queue wait, service, chunk-source time,
+// tenant, generation) for the whole batch; otherwise the request runs
+// untraced and timing is nil.
+func (c *Client) GetBatchBufs(ids []int64, tc tracectx.Context) (*bufarena.Buf, [][]byte, *ServerTiming, error) {
 	if len(ids) == 0 {
 		return nil, nil, nil, nil
 	}
@@ -542,29 +506,14 @@ func (c *Client) GetBatchBufsTraced(ids []int64, tc tracectx.Context) (*bufarena
 }
 
 // GetBatchRaw fetches the encoded bytes of an arbitrary id list in one
-// round trip. Every id must be in this server's chunk; the result is
-// aligned with ids. The raw form exists so callers that cache or relay
-// encoded bytes avoid a decode/re-encode cycle; the parts are plain
-// GC-owned memory (see GetRaw). Pooled callers use GetBatchBufs.
+// round trip, untraced. Every id must be in this server's chunk; the
+// result is aligned with ids. The parts are plain GC-owned memory (see
+// GetRaw), for callers that keep the bytes — a migration pull installing
+// them into a chunk. Callers that only read the bytes use GetBatchBufs and
+// Release, so the buffer is recycled.
 func (c *Client) GetBatchRaw(ids []int64) ([][]byte, error) {
-	_, parts, err := c.GetBatchBufs(ids)
+	_, parts, _, err := c.GetBatchBufs(ids, tracectx.Context{})
 	return parts, err
-}
-
-// GetBatch fetches and decodes an arbitrary id list in one round trip.
-func (c *Client) GetBatch(ids []int64) ([]*graph.Graph, error) {
-	buf, parts, err := c.GetBatchBufs(ids)
-	if err != nil {
-		return nil, err
-	}
-	defer buf.Release()
-	out := make([]*graph.Graph, len(parts))
-	for i, p := range parts {
-		if out[i], err = graph.Decode(p); err != nil {
-			return nil, fmt.Errorf("transport: sample %d: %w", ids[i], err)
-		}
-	}
-	return out, nil
 }
 
 // GetRange fetches and decodes samples [lo, hi).

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ddstore/internal/graph"
+	"ddstore/internal/obs/tracectx"
 	"ddstore/internal/shardmap"
 	"ddstore/internal/trace"
 )
@@ -212,10 +213,11 @@ func TestElasticGroupRefreshesOnStaleGeneration(t *testing.T) {
 	// status with gen 2 attached, refreshes, and retries b — one logical
 	// load, zero client-visible errors, zero failovers (the peer was
 	// healthy, just no longer the owner).
-	gr, err := g.Get(10)
+	grs, err := g.Load([]int64{10})
 	if err != nil {
 		t.Fatalf("load across a generation bump failed: %v", err)
 	}
+	gr := grs[0]
 	if gr.ID != 10 {
 		t.Fatalf("got sample %d, want 10", gr.ID)
 	}
@@ -290,7 +292,7 @@ func TestStaticGroupTokensDeriveFromGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	g, err := NewGroup([]string{srv.Addr()})
+	g, err := NewGroupReplicas([][]string{{srv.Addr()}}, GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +338,7 @@ func TestStaticGroupPinsGenerationAcrossMidFlightApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := map[int64]bool{}
-	err = groupPlane{g: g}.FetchOwner(tok, []int64{10, 11}, func(id int64, raw []byte, lz *graph.Lazy, lat time.Duration) {
+	err = groupPlane{g: g}.FetchOwner(tok, []int64{10, 11}, tracectx.Context{}, func(id int64, raw []byte, lz *graph.Lazy, lat time.Duration) {
 		got[id] = true
 		lz.Release()
 	})

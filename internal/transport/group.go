@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"ddstore/internal/bufarena"
 	"ddstore/internal/cache"
 	"ddstore/internal/fetch"
 	"ddstore/internal/graph"
@@ -83,12 +82,6 @@ type Group struct {
 
 	mu      sync.Mutex
 	clients map[string]*Client // by peer address; dialed lazily in elastic mode
-}
-
-// NewGroup dials every peer address of a single replica and verifies the
-// chunks tile a contiguous range.
-func NewGroup(addrs []string) (*Group, error) {
-	return NewGroupReplicas([][]string{addrs}, GroupOptions{})
 }
 
 // newGroup builds the pieces every constructor shares.
@@ -337,18 +330,12 @@ func (g *Group) Replicas() int {
 
 // Len returns the total number of samples in the dataset.
 func (g *Group) Len() int {
-	if g.maps == nil {
-		return 0
-	}
 	lo, hi := g.maps.Current().Range()
 	return int(hi - lo)
 }
 
 // Range returns the [lo, hi) sample keyspace of the current generation.
 func (g *Group) Range() (int64, int64) {
-	if g.maps == nil {
-		return 0, 0
-	}
 	return g.maps.Current().Range()
 }
 
@@ -409,61 +396,42 @@ func (g *Group) refreshFromSurvivors(down map[int]bool) bool {
 	return false
 }
 
-// Get fetches one sample: a one-element Load, with the same caching,
-// failover, and quarantine behaviour.
-func (g *Group) Get(id int64) (*graph.Graph, error) {
-	out, err := g.Load([]int64{id})
+// Load fetches a batch of samples (any order), like core.Store.Load but
+// over TCP: LoadLazy, then every view materialized (graph.Materialize), so
+// duplicate ids share one graph pointer.
+func (g *Group) Load(ids []int64) ([]*graph.Graph, error) {
+	lzs, _, err := g.LoadLazy(ids)
 	if err != nil {
 		return nil, err
 	}
-	return out[0], nil
+	return graph.Materialize(lzs), nil
 }
 
-// Load fetches a batch of samples (any order), like core.Store.Load but
-// over TCP. Cache hits are served from memory; misses are grouped by their
-// preferred replica and owning peer, fetched maxBatch ids per round trip,
-// and failed over to the owners in other replicas when a peer is
-// unreachable or serves corrupt bytes. Concurrent Loads claiming the same
-// missing id coalesce into one fetch via the cache's flight table. The
-// whole pipeline runs in the shared engine (internal/fetch); this file
-// contributes only the TCP wire: replica preference, suspect/cooldown
-// failover, stale-generation refresh, and OpGetBatch chunking.
-func (g *Group) Load(ids []int64) ([]*graph.Graph, error) {
-	out, _, err := g.LoadTimed(ids)
-	return out, err
-}
-
-// LoadTimed is Load plus per-sample wall-clock fetch latencies, the same
-// contract core.Store.LoadTimed has on the RMA plane.
-func (g *Group) LoadTimed(ids []int64) ([]*graph.Graph, []time.Duration, error) {
-	if g.maps == nil {
-		return nil, nil, errors.New("transport: group has no replicas")
-	}
-	return g.engine.Load(ids)
-}
-
-// LoadLazy is LoadTimed without tensor materialization: samples come back
-// as header-validated graph.Lazy views over their pooled wire buffers. The
-// caller owns the views — materialize via Graph() or Release() each one —
-// and the same contract holds on the RMA plane (core.Store.LoadLazy).
+// LoadLazy fetches a batch of samples (any order) as header-validated
+// graph.Lazy views over their pooled wire buffers, with per-sample
+// wall-clock fetch latencies. The caller owns the views — materialize via
+// Graph() or Release() each one — and the same contract holds on the RMA
+// plane (core.Store.LoadLazy). Cache hits are served from memory; misses
+// are grouped by their preferred replica and owning peer, fetched
+// maxBatch ids per round trip, and failed over to the owners in other
+// replicas when a peer is unreachable or serves corrupt bytes. Concurrent
+// loads claiming the same missing id coalesce into one fetch via the
+// cache's flight table. The whole pipeline runs in the shared engine
+// (internal/fetch); this file contributes only the TCP wire: replica
+// preference, suspect/cooldown failover, stale-generation refresh, and
+// OpGetBatch chunking.
 func (g *Group) LoadLazy(ids []int64) ([]*graph.Lazy, []time.Duration, error) {
-	if g.maps == nil {
-		return nil, nil, errors.New("transport: group has no replicas")
-	}
-	return g.engine.LoadLazy(ids)
+	return g.engine.LoadLazy(ids, tracectx.Context{})
 }
 
 // LoadLazyTraced is LoadLazy under a distributed trace: tc is the caller's
 // span, each per-owner fan-out propagates a child context over the wire
 // (when the peers negotiated tracing — GroupOptions.Client.Tracing), and
 // the servers' timing trailers come back as "server" category spans in the
-// group's span ring, nested inside the request window. With an invalid
+// group's span ring, nested inside the request window. With the zero
 // context this is exactly LoadLazy.
 func (g *Group) LoadLazyTraced(ids []int64, tc tracectx.Context) ([]*graph.Lazy, []time.Duration, error) {
-	if g.maps == nil {
-		return nil, nil, errors.New("transport: group has no replicas")
-	}
-	return g.engine.LoadLazyTraced(ids, tc)
+	return g.engine.LoadLazy(ids, tc)
 }
 
 // groupPlane adapts the Group to the shared fetch engine. The owner token
@@ -489,18 +457,9 @@ func (p groupPlane) Local(int) bool { return false }
 // sequence. The token's generation pins the chunk to the map its batch
 // was planned under; a generation that has aged out of the history falls
 // back to the current one (and the stale-generation protocol corrects any
-// resulting misroute).
-func (p groupPlane) FetchOwner(owner int, ids []int64, deliver fetch.Deliver) error {
-	return p.fetchOwner(owner, ids, tracectx.Context{}, deliver)
-}
-
-// FetchOwnerTraced implements fetch.TracedPlane: the engine-minted child
-// context rides every wire chunk of this owner's transfer.
-func (p groupPlane) FetchOwnerTraced(owner int, ids []int64, tc tracectx.Context, deliver fetch.Deliver) error {
-	return p.fetchOwner(owner, ids, tc, deliver)
-}
-
-func (p groupPlane) fetchOwner(owner int, ids []int64, tc tracectx.Context, deliver fetch.Deliver) error {
+// resulting misroute). The engine-minted child context tc rides every wire
+// chunk of this owner's transfer.
+func (p groupPlane) FetchOwner(owner int, ids []int64, tc tracectx.Context, deliver fetch.Deliver) error {
 	g := p.g
 	gen, _, err := shardmap.UnpackOwner(owner)
 	if err != nil {
@@ -587,14 +546,7 @@ func (g *Group) fetchChunk(m *shardmap.Map, ids []int64, deliver fetch.Deliver, 
 					continue
 				}
 				before := time.Now()
-				var buf *bufarena.Buf
-				var raws [][]byte
-				var timing *ServerTiming
-				if tc.Valid() {
-					buf, raws, timing, err = cl.GetBatchBufsTraced(want, tc)
-				} else {
-					buf, raws, err = cl.GetBatchBufs(want)
-				}
+				buf, raws, timing, err := cl.GetBatchBufs(want, tc)
 				per := time.Since(before) / time.Duration(len(want))
 				if timing != nil {
 					g.recordServerSpans(tc, timing, m, mi, want)

@@ -106,8 +106,9 @@ func TestGroupTracedLoadNestsServerSpans(t *testing.T) {
 }
 
 // TestPlaneLoaderTracedBatch pins the DDP seam: a PlaneLoader with Trace
-// set mints one sampled root context per lazy batch and records the
-// client-side root span the fetch and server spans parent to.
+// set mints one sampled root context per batch and records the client-side
+// root span; the per-owner fetch span is its child and the server spans
+// are the fetch span's children, all under the root's trace id.
 func TestPlaneLoaderTracedBatch(t *testing.T) {
 	ds := datasets.HomoLumo(datasets.Config{NumGraphs: 16})
 	srv, err := transport.Serve("127.0.0.1:0", chunkFor(t, ds, 0, 16))
@@ -127,34 +128,51 @@ func TestPlaneLoaderTracedBatch(t *testing.T) {
 	defer grp.Close()
 
 	loader := &ddp.PlaneLoader{Plane: grp, Trace: true, Spans: ring}
-	lazies, _, err := loader.LoadBatchLazy([]int64{2, 5, 11})
+	ids := []int64{2, 5, 11, 5}
+	gs, lats, err := loader.LoadBatch(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lz := range lazies {
-		lz.Release()
+	if len(gs) != len(ids) || len(lats) != len(ids) {
+		t.Fatalf("got %d graphs, %d latencies for %d ids", len(gs), len(lats), len(ids))
+	}
+	for i, g := range gs {
+		if g.ID != ids[i] {
+			t.Fatalf("position %d: sample %d, want %d", i, g.ID, ids[i])
+		}
+	}
+	if gs[1] != gs[3] {
+		t.Fatal("duplicate ids did not share one graph")
 	}
 
-	var root *obs.Span
-	serversSeen := 0
+	var root, fetch *obs.Span
+	var servers []obs.Span
 	for _, s := range ring.Spans() {
 		s := s
-		if s.Name == "load-batch" {
+		switch {
+		case s.Name == "load-batch":
 			root = &s
-		}
-		if s.Cat == "server" {
-			serversSeen++
+		case s.Name == "fetch-owner":
+			fetch = &s
+		case s.Cat == "server":
+			servers = append(servers, s)
 		}
 	}
 	if root == nil || root.TraceID == 0 || root.SpanID == 0 {
 		t.Fatalf("no traced load-batch root span: %+v", root)
 	}
-	if serversSeen == 0 {
+	if fetch == nil || fetch.TraceID != root.TraceID || fetch.ParentID != root.SpanID {
+		t.Fatalf("fetch-owner span %+v is not a child of root %+v", fetch, root)
+	}
+	if len(servers) == 0 {
 		t.Fatal("traced batch produced no server spans")
 	}
-	for _, s := range ring.Spans() {
-		if s.Cat == "server" && s.TraceID != root.TraceID {
+	for _, s := range servers {
+		if s.TraceID != root.TraceID {
 			t.Fatalf("server span trace %016x != root trace %016x", s.TraceID, root.TraceID)
+		}
+		if s.Name == "server-request" && s.ParentID != fetch.SpanID {
+			t.Fatalf("server-request parent %016x, want fetch-owner %016x", s.ParentID, fetch.SpanID)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ddstore/internal/datasets"
+	"ddstore/internal/obs/tracectx"
 	"ddstore/internal/trace"
 	"ddstore/internal/transport"
 )
@@ -35,7 +36,7 @@ func TestClientPoolReuse(t *testing.T) {
 	if c1 == c2 {
 		t.Fatal("pool handed one client to two checkouts")
 	}
-	raw, err := c1.GetRaw(3)
+	raw, _, err := c1.GetRaw(3, tracectx.Context{})
 	if err != nil || len(raw) == 0 {
 		t.Fatalf("GetRaw = %d bytes, %v", len(raw), err)
 	}
@@ -184,7 +185,7 @@ func TestClientPoolConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := c.GetRaw(int64(i % 10)); err != nil {
+				if _, _, err := c.GetRaw(int64(i%10), tracectx.Context{}); err != nil {
 					t.Error(err)
 				}
 				pool.Put(c)

@@ -164,7 +164,7 @@ func TestGroupAcrossServers(t *testing.T) {
 		defer srv.Close()
 		addrs = append(addrs, srv.Addr())
 	}
-	grp, err := transport.NewGroup(addrs)
+	grp, err := transport.NewGroupReplicas([][]string{addrs}, transport.GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestGroupAcrossServers(t *testing.T) {
 			t.Fatalf("sample %d corrupted", ids[i])
 		}
 	}
-	if _, err := grp.Get(99); err == nil {
+	if _, err := grp.Load([]int64{99}); err == nil {
 		t.Fatal("unowned id accepted")
 	}
 }
@@ -200,7 +200,7 @@ func TestGroupRejectsGaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, err := transport.NewGroup([]string{s1.Addr(), s2.Addr()}); err == nil {
+	if _, err := transport.NewGroupReplicas([][]string{{s1.Addr(), s2.Addr()}}, transport.GroupOptions{}); err == nil {
 		t.Fatal("gapped group accepted")
 	}
 }
@@ -234,16 +234,17 @@ func TestServeDDStoreChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grp, err := transport.NewGroup(addrs)
+	grp, err := transport.NewGroupReplicas([][]string{addrs}, transport.GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer grp.Close()
 	for id := int64(0); id < 24; id++ {
-		g, err := grp.Get(id)
+		gs, err := grp.Load([]int64{id})
 		if err != nil {
 			t.Fatalf("sample %d: %v", id, err)
 		}
+		g := gs[0]
 		want, _ := ds.Sample(id)
 		if g.NumNodes != want.NumNodes || g.Y[0] != want.Y[0] {
 			t.Fatalf("sample %d differs over TCP", id)
@@ -277,7 +278,7 @@ func TestGroupLoaderTrainsAModel(t *testing.T) {
 		defer srv.Close()
 		addrs = append(addrs, srv.Addr())
 	}
-	grp, err := transport.NewGroup(addrs)
+	grp, err := transport.NewGroupReplicas([][]string{addrs}, transport.GroupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
